@@ -320,6 +320,18 @@ def take(a, indices):
     return a.tape._record(value, (a.index,), (grad,))
 
 
+def concat(a, b):
+    """Join two operands along their last axis; leading shapes must match."""
+    tape = _tape_of(a, b)
+    a, b = _lift(tape, a), _lift(tape, b)
+    cut = a.value.shape[-1]
+    return tape._record(
+        np.concatenate([a.value, b.value], axis=-1),
+        (a.index, b.index),
+        (lambda g: g[..., :cut], lambda g: g[..., cut:]),
+    )
+
+
 def clip(a, lo, hi):
     """Clamp values to [lo, hi]; gradient is identity strictly inside, 0 outside."""
     av = a.value

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import special
+from .polya_tree import check_unit_cube
 
 
 @dataclass
@@ -75,29 +76,7 @@ class LearnableHistogram:
             raise ValueError(f"x must lie in ({edges[0]}, {edges[-1]}]")
         return int(np.searchsorted(edges, x, side="left")) - 1
 
-    def _route(self, x):
-        """(N, D) cell indices; x must lie in the histogram's own support."""
-        edges = self.boundaries()
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.dims:
-            raise ValueError(f"points must be (N, {self.dims})")
-        top = edges[-1]
-        if x.size and (np.any(x <= 0.0) or np.any(x > top)):
-            raise ValueError("points must lie inside the histogram support")
-        cells = np.empty(x.shape, dtype=np.int64)
-        for d in range(self.dims):
-            cells[:, d] = np.searchsorted(edges[:, d], x[:, d], side="left") - 1
-        return cells
-
     # -- densities ---------------------------------------------------------
-
-    def log_density_own_support(self, x):
-        """Log density on the native support prod_d (0, total_width_d]."""
-        cells = self._route(np.atleast_2d(x))
-        log_p = np.log(self.probabilities())
-        log_w = np.log(self.widths())
-        d_idx = np.broadcast_to(np.arange(self.dims), cells.shape)
-        return (log_p[cells, d_idx] - log_w[cells, d_idx]).sum(axis=1)
 
     def log_density_vars(self, tape, pvars, z):
         """(N,) Var of log density for unit-cube points z, on the tape.
@@ -109,8 +88,7 @@ class LearnableHistogram:
         z_values = z.value if isinstance(z, ad.Var) else np.asarray(z, dtype=np.float64)
         if z_values.ndim != 2 or z_values.shape[1] != self.dims:
             raise ValueError(f"points must be (N, {self.dims})")
-        if z_values.size and (np.any(z_values <= 0.0) or np.any(z_values > 1.0)):
-            raise ValueError("points must lie in the half-open unit cube (0, 1]^D")
+        check_unit_cube(z_values)
 
         widths = ad.softplus(pvars["raw_widths"])          # (K, D)
         totals = widths.sum(axis=0)                        # (D,)
@@ -140,7 +118,7 @@ class LearnableHistogram:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_latent(self, n, rng):
+    def sample(self, n, rng):
         """Unit-cube draws: categorical cell per dimension, uniform inside."""
         probs = self.probabilities()
         edges = self.boundaries()
@@ -187,7 +165,7 @@ class FixedPrior:
         tape = ad.Tape()
         return self.log_density_vars(tape, {}, z).value
 
-    def sample_latent(self, n, rng):
+    def sample(self, n, rng):
         if self.kind == "gaussian":
             return rng.standard_normal((n, self.dims))
         u = rng.random((n, self.dims))

@@ -201,9 +201,9 @@ def build_flow(dims, n_coupling=1, hidden=(50, 50), activation="tanh",
 class DensityEstimator:
     """A flow transport composed with a base density.
 
-    The base must expose parameter_arrays(), log_density_vars(tape, pvars,
-    z, ...), and sample_latent(n, rng) (names prefixed 'prior/'; flow
-    parameters are prefixed 'flow/').  Bases supported on the unit cube
+    The base must expose parameter_arrays() (names prefixed 'prior/'; flow
+    parameters are prefixed 'flow/'), log_density_vars(tape, pvars, z, ...)
+    and sample(n, rng, ...).  Bases supported on the unit cube
     should sit behind a flow whose last layer is the sigmoid squash; their
     inputs are clamped to [1e-6, 1 - 1e-6] before evaluation.
     """
@@ -248,7 +248,7 @@ class DensityEstimator:
 
     def sample(self, n, rng, **base_kwargs):
         """Draw from the model: sample the base, then invert the flow."""
-        z = self.base.sample_latent(n, rng, **base_kwargs)
+        z = self.base.sample(n, rng, **base_kwargs)
         if self.flow.has_sigmoid:
             z = np.clip(z, _UNIT_EPS, 1.0 - _UNIT_EPS)
         return self.flow.inverse(z)

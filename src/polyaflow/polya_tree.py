@@ -12,6 +12,16 @@ reached by branch bits e_1..e_t sits at index 2^t - 1 + int(e_1..e_t as
 binary).  A depth-L tree has 2^L - 1 internal nodes and K = 2^L leaves
 per dimension.
 
+Everything that follows a leaf's path uses one cached (L, K) path-index
+table: leaf log masses (ln Y or ln(1-Y) per node), log leaf lengths
+(log beta or log(1-beta) per node) and branch counts are all a gather
+along it, so memory grows as O(L K).  Split positions are computed in
+one place, `leaf_boundaries`; routing is a binary search of those
+boundaries per dimension (a point goes to the first leaf whose upper
+boundary is >= x, which is exactly the half-open cell a root-to-leaf
+descent reaches), and leaf lookup and sampling read their cells from
+the same boundaries.
+
 Parameters are stored as unconstrained floats: alphas through a softplus,
 split proportions through a sigmoid.
 """
@@ -31,44 +41,51 @@ _UNIT_RAW = float(special.inv_softplus(1.0))   # raw value giving alpha = 1
 
 
 @lru_cache(maxsize=None)
-def _tables(levels):
-    """Static index tables for a depth-`levels` tree.
+def _path_index(levels):
+    """(levels, K) int table of each leaf's path through a depth-`levels` tree.
 
-    Returns a dict with, for K = 2^levels leaves and n = 2^levels - 1
-    internal nodes:
-      node_of_level : (levels, K) int, BFS node index visited at each depth
-      bit_of_level  : (levels, K) int, branch bit taken at each depth
-      m_left/m_right: (K, n) float incidence, leaf visits node going left/right
-      lev_left/lev_right: (K, levels) float, leaf goes left/right at depth j
+    Entry (j, k) is the breadth-first node leaf k visits at depth j, plus
+    n = 2^levels - 1 when the leaf lies in that node's right subtree, so it
+    indexes a per-node row laid out as [left values | right values].
     """
-    K = 1 << levels
-    n = K - 1
-    leaves = np.arange(K)
-    node_of_level = np.empty((levels, K), dtype=np.int64)
-    bit_of_level = np.empty((levels, K), dtype=np.int64)
-    for j in range(levels):
-        prefix = leaves >> (levels - j)
-        node_of_level[j] = (1 << j) - 1 + prefix
-        bit_of_level[j] = (leaves >> (levels - j - 1)) & 1
-    m_left = np.zeros((K, n))
-    m_right = np.zeros((K, n))
-    lev_left = np.zeros((K, levels))
-    lev_right = np.zeros((K, levels))
-    for j in range(levels):
-        m_left[leaves, node_of_level[j]] += bit_of_level[j] == 0
-        m_right[leaves, node_of_level[j]] += bit_of_level[j] == 1
-        lev_left[leaves, j] = bit_of_level[j] == 0
-        lev_right[leaves, j] = bit_of_level[j] == 1
-    for arr in (node_of_level, bit_of_level, m_left, m_right, lev_left, lev_right):
-        arr.setflags(write=False)
-    return {
-        "node_of_level": node_of_level,
-        "bit_of_level": bit_of_level,
-        "m_left": m_left,
-        "m_right": m_right,
-        "lev_left": lev_left,
-        "lev_right": lev_right,
-    }
+    leaves = np.arange(1 << levels)
+    depth = np.arange(levels)[:, None]
+    node = (1 << depth) - 1 + (leaves >> (levels - depth))
+    right = (leaves >> (levels - depth - 1)) & 1
+    index = node + ((1 << levels) - 1) * right
+    index.setflags(write=False)
+    return index
+
+
+def _level_of_node(levels):
+    """(2^levels - 1,) depth of each breadth-first internal node."""
+    return np.repeat(np.arange(levels), 1 << np.arange(levels))
+
+
+def _path_sums(left, right, levels):
+    """(D, K) Var: per leaf, the sum over its path of left[node] or right[node].
+
+    `left` and `right` are (D, n) Vars of per-node values for the branch
+    taken to the left and to the right.
+    """
+    both = ad.concat(left, right)                               # (D, 2n)
+    width = both.shape[1]
+    flat = np.arange(both.shape[0])[:, None, None] * width + _path_index(levels)
+    return ad.take(both, flat).sum(axis=1)
+
+
+def check_unit_cube(x):
+    """Raise ValueError naming the first entry of (N, D) `x` outside (0, 1].
+
+    NaN and infinities fail the test, so they are reported too.
+    """
+    inside = (x > 0.0) & (x <= 1.0)
+    if not inside.all():
+        row, col = np.argwhere(~inside)[0]
+        raise ValueError(
+            f"point {row}, dimension {col} is {x[row, col]!r}: "
+            "points must lie in the half-open unit cube (0, 1]^D"
+        )
 
 
 def param_count(levels, dims, partition_mode="dyadic"):
@@ -85,27 +102,29 @@ def param_count(levels, dims, partition_mode="dyadic"):
 
 
 def intervals_from_splits(levels, betas, partition_mode="dyadic"):
-    """Leaf boundaries (K+1,) for one dimension from split proportions.
+    """Leaf boundaries (..., K+1) from split proportions.
 
-    `betas` is ignored for dyadic trees, per-level expects (levels,), and
-    per-node expects (2^levels - 1,) in breadth-first node order.
+    `betas` is ignored for dyadic trees, per-level expects (..., levels),
+    and per-node expects (..., 2^levels - 1) in breadth-first node order;
+    leading axes (one row per dimension, say) are kept.
     """
-    bounds = np.array([0.0, 1.0])
+    if partition_mode == "dyadic":
+        props = np.full((1 << levels) - 1, 0.5)
+    elif partition_mode == "per-level":
+        props = np.asarray(betas, dtype=np.float64)[..., _level_of_node(levels)]
+    elif partition_mode == "per-node":
+        props = np.asarray(betas, dtype=np.float64)
+    else:
+        raise ValueError(f"unknown partition mode: {partition_mode}")
+    bounds = np.zeros(props.shape[:-1] + (2,))
+    bounds[..., 1] = 1.0
     for j in range(levels):
-        if partition_mode == "dyadic":
-            props = np.full(1 << j, 0.5)
-        elif partition_mode == "per-level":
-            props = np.full(1 << j, float(np.asarray(betas, dtype=np.float64)[j]))
-        elif partition_mode == "per-node":
-            start = (1 << j) - 1
-            props = np.asarray(betas, dtype=np.float64)[start: start + (1 << j)]
-        else:
-            raise ValueError(f"unknown partition mode: {partition_mode}")
-        lows, highs = bounds[:-1], bounds[1:]
-        mids = lows + (highs - lows) * props
-        bounds = np.empty(2 * lows.size + 1)
-        bounds[0::2] = np.append(lows, highs[-1])
-        bounds[1::2] = mids
+        lows, highs = bounds[..., :-1], bounds[..., 1:]
+        mids = lows + (highs - lows) * props[..., (1 << j) - 1: (2 << j) - 1]
+        split = np.empty(props.shape[:-1] + (2 * lows.shape[-1] + 1,))
+        split[..., 0::2] = bounds
+        split[..., 1::2] = mids
+        bounds = split
     return bounds
 
 
@@ -187,17 +206,12 @@ class PolyaTreeModel:
 
     def split_betas(self):
         """Split proportions as a dense (dims, n_nodes) array, any mode."""
-        n = self.n_nodes
         if self.partition_mode == "dyadic":
-            return np.full((self.dims, n), 0.5)
+            return np.full((self.dims, self.n_nodes), 0.5)
         props = special.sigmoid(self.split_raw)
-        if self.partition_mode == "per-node":
-            return props
-        out = np.empty((self.dims, n))
-        for j in range(self.levels):
-            start = (1 << j) - 1
-            out[:, start: start + (1 << j)] = props[:, j][:, None]
-        return out
+        if self.partition_mode == "per-level":
+            return props[:, _level_of_node(self.levels)]
+        return props
 
     def parameter_arrays(self):
         """Live references to the trainable arrays, keyed by name."""
@@ -213,24 +227,16 @@ class PolyaTreeModel:
         """List of (lower, upper] leaf intervals for one dimension."""
         if not 0 <= dim < self.dims:
             raise ValueError("dim out of range")
-        if self.partition_mode == "dyadic":
-            betas = None
-        else:
-            betas = special.sigmoid(self.split_raw[dim])
-        bounds = intervals_from_splits(self.levels, betas, self.partition_mode)
+        bounds = self.leaf_boundaries()[dim]
         return [(float(a), float(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def leaf_boundaries(self):
-        """(dims, K+1) array of leaf boundaries per dimension."""
-        return np.stack([
-            intervals_from_splits(
-                self.levels,
-                None if self.partition_mode == "dyadic"
-                else special.sigmoid(self.split_raw[d]),
-                self.partition_mode,
-            )
-            for d in range(self.dims)
-        ])
+        """(dims, K+1) array of leaf boundaries per dimension.
+
+        The only place split positions are computed: routing, leaf lookup
+        and sampling all read their cells from these boundaries.
+        """
+        return intervals_from_splits(self.levels, self.split_betas(), "per-node")
 
     # -- routing ----------------------------------------------------------
 
@@ -240,28 +246,22 @@ class PolyaTreeModel:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.dims:
             raise ValueError(f"points must be (N, {self.dims})")
-        if x.size and (np.any(x <= 0.0) or np.any(x > 1.0)):
-            raise ValueError("points must lie in the half-open unit cube (0, 1]^D")
+        check_unit_cube(x)
         return x
 
     def route(self, x):
-        """Leaf index per point and dimension: (N, D) ints in [0, 2^L)."""
+        """Leaf index per point and dimension: (N, D) ints in [0, 2^L).
+
+        A point lands in the first leaf whose upper boundary is >= x, which
+        is the half-open (lower, upper] cell a root-to-leaf descent reaches,
+        zero-width leaves included.
+        """
         x = self._validate_points(x)
-        n_pts = x.shape[0]
-        betas = self.split_betas()
-        d_idx = np.broadcast_to(np.arange(self.dims), (n_pts, self.dims))
-        lo = np.zeros((n_pts, self.dims))
-        hi = np.ones((n_pts, self.dims))
-        prefix = np.zeros((n_pts, self.dims), dtype=np.int64)
-        for j in range(self.levels):
-            node = (1 << j) - 1 + prefix
-            prop = betas[d_idx, node]
-            split = lo + (hi - lo) * prop
-            left = x <= split
-            hi = np.where(left, split, hi)
-            lo = np.where(left, lo, split)
-            prefix = 2 * prefix + (~left)
-        return prefix
+        bounds = self.leaf_boundaries()
+        leaf = np.empty(x.shape, dtype=np.int64)
+        for d in range(self.dims):
+            leaf[:, d] = np.searchsorted(bounds[d], x[:, d], side="left") - 1
+        return leaf
 
     def leaf_of(self, dim, x):
         """Full assignment (path bits, leaf index, interval) of scalar x in one dimension."""
@@ -270,19 +270,10 @@ class PolyaTreeModel:
         x = float(x)
         if not 0.0 < x <= 1.0:
             raise ValueError("x must lie in (0, 1]")
-        betas = self.split_betas()[dim]
-        lo, hi, prefix, bits = 0.0, 1.0, 0, []
-        for j in range(self.levels):
-            node = (1 << j) - 1 + prefix
-            split = lo + (hi - lo) * betas[node]
-            if x <= split:
-                hi = split
-                bits.append(0)
-            else:
-                lo = split
-                bits.append(1)
-            prefix = 2 * prefix + bits[-1]
-        return LeafAssignment(tuple(bits), prefix, (lo, hi))
+        bounds = self.leaf_boundaries()[dim]
+        leaf = int(np.searchsorted(bounds, x, side="left")) - 1
+        path = tuple((leaf >> (self.levels - 1 - j)) & 1 for j in range(self.levels))
+        return LeafAssignment(path, leaf, (float(bounds[leaf]), float(bounds[leaf + 1])))
 
     # -- densities on the tape -------------------------------------------
 
@@ -302,22 +293,22 @@ class PolyaTreeModel:
 
     def _log_nu_vars(self, tape, pvars):
         """(D, K) Var of log leaf lengths under the current partition."""
-        t = _tables(self.levels)
         if self.partition_mode == "dyadic":
             return tape.leaf(np.full((self.dims, self.n_leaves), -self.levels * np.log(2.0)))
         split = pvars["split_raw"]
-        log_b = ad.log_sigmoid(split)
-        log_1b = ad.log_sigmoid(-split)
         if self.partition_mode == "per-level":
-            return ad.matmul(log_b, t["lev_left"].T) + ad.matmul(log_1b, t["lev_right"].T)
-        return ad.matmul(log_b, t["m_left"].T) + ad.matmul(log_1b, t["m_right"].T)
+            per_node = np.arange(self.dims)[:, None] * self.levels + _level_of_node(self.levels)
+            split = ad.take(split, per_node)                    # (D, n)
+        return _path_sums(ad.log_sigmoid(split), ad.log_sigmoid(-split), self.levels)
+
+    def _leaf_log_densities(self, tape, pvars, log_ys):
+        """(D, K) Var of leaf log densities from the node pair (ln Y, ln(1-Y))."""
+        return _path_sums(*log_ys, self.levels) - self._log_nu_vars(tape, pvars)
 
     def leaf_log_densities_vars(self, tape, pvars, y_mode="posterior-mean", rng=None):
         """(D, K) Var: log density of each leaf cell (mass minus log length)."""
-        t = _tables(self.levels)
-        log_y, log_1y = self._node_log_ys_vars(tape, pvars, y_mode, rng)
-        log_mass = ad.matmul(log_y, t["m_left"].T) + ad.matmul(log_1y, t["m_right"].T)
-        return log_mass - self._log_nu_vars(tape, pvars)
+        log_ys = self._node_log_ys_vars(tape, pvars, y_mode, rng)
+        return self._leaf_log_densities(tape, pvars, log_ys)
 
     def log_density_vars(self, tape, pvars, x, y_mode="posterior-mean", rng=None,
                          smooth=False):
@@ -327,10 +318,13 @@ class PolyaTreeModel:
         the latter case `smooth=True` additionally gives the coordinates a
         gradient by interpolating leaf log densities between leaf centers.
         """
-        x_values = x.value if isinstance(x, ad.Var) else x
-        x_values = self._validate_points(x_values)
-        leaf = self.route(x_values)
+        x_values = self._validate_points(x.value if isinstance(x, ad.Var) else x)
         g = self.leaf_log_densities_vars(tape, pvars, y_mode, rng)
+        return self._read_leaves(tape, g, x, x_values, smooth)
+
+    def _read_leaves(self, tape, g, x, x_values, smooth):
+        """(N,) Var: the (D, K) leaf log densities `g` looked up at validated points."""
+        leaf = self.route(x_values)
         K = self.n_leaves
         flat = np.arange(self.dims)[None, :] * K + leaf
         if not smooth:
@@ -371,20 +365,15 @@ class PolyaTreeModel:
         term is sum over nodes of (alpha_l - 1) ln Y + (alpha_r - 1) ln(1 - Y).
         With an empty batch only the prior term remains.
         """
+        x_values = self._validate_points(x.value if isinstance(x, ad.Var) else x)
         log_y, log_1y = self._node_log_ys_vars(tape, pvars, y_mode, rng)
         al = ad.softplus(pvars["raw_left"])
         ar = ad.softplus(pvars["raw_right"])
         prior = ((al - 1.0) * log_y + (ar - 1.0) * log_1y).sum()
-        x_values = self._validate_points(x.value if isinstance(x, ad.Var) else x)
         if x_values.shape[0] == 0:
             return prior
-        t = _tables(self.levels)
-        log_mass = ad.matmul(log_y, t["m_left"].T) + ad.matmul(log_1y, t["m_right"].T)
-        g = log_mass - self._log_nu_vars(tape, pvars)
-        leaf = self.route(x_values)
-        flat = np.arange(self.dims)[None, :] * self.n_leaves + leaf
-        data = ad.take(g, flat).sum(axis=1).sum()
-        return data + prior
+        g = self._leaf_log_densities(tape, pvars, (log_y, log_1y))
+        return self._read_leaves(tape, g, x, x_values, smooth=False).sum() + prior
 
     def log_joint_posterior(self, x, y_mode="posterior-mean", rng=None):
         tape = ad.Tape()
@@ -396,18 +385,11 @@ class PolyaTreeModel:
     def branch_counts(self, x):
         """Left/right routing counts per node: two (D, n_nodes) int arrays."""
         leaf = self.route(x)
-        t = _tables(self.levels)
-        n = self.n_nodes
-        counts_left = np.zeros((self.dims, n), dtype=np.int64)
-        counts_right = np.zeros((self.dims, n), dtype=np.int64)
-        d_idx = np.broadcast_to(np.arange(self.dims), leaf.shape)
-        for j in range(self.levels):
-            node = t["node_of_level"][j][leaf]
-            bit = t["bit_of_level"][j][leaf]
-            flat = d_idx * n + node
-            np.add.at(counts_left.reshape(-1), flat[bit == 0], 1)
-            np.add.at(counts_right.reshape(-1), flat[bit == 1], 1)
-        return counts_left, counts_right
+        width = 2 * self.n_nodes                      # one [left | right] row per dim
+        flat = _path_index(self.levels)[:, leaf] + np.arange(self.dims) * width
+        counts = np.bincount(flat.reshape(-1), minlength=self.dims * width)
+        counts = counts.reshape(self.dims, 2, self.n_nodes)
+        return counts[:, 0], counts[:, 1]
 
     def conjugate_update(self, x, prior_alphas=1.0, count_scale=1.0):
         """Closed-form Beta-Binomial refresh: alpha = prior + scale * counts.
@@ -439,10 +421,6 @@ class PolyaTreeModel:
                 out[d, i] = BetaDist(al[d, i], ar[d, i]).sample(rng)
         return out
 
-    def sample_latent(self, n, rng, y_mode="posterior-mean"):
-        """Alias used by estimators treating the tree as their base density."""
-        return self.sample(n, rng, y_mode)
-
     def sample(self, n, rng, y_mode="posterior-mean"):
         """Draw n points: descend by Bernoulli(Y) branches, then uniform in the leaf."""
         if y_mode == "posterior-mean":
@@ -452,19 +430,14 @@ class PolyaTreeModel:
             y = self.sample_branch_probabilities(rng)
         else:
             raise ValueError(f"unknown y_mode: {y_mode}")
-        betas = self.split_betas()
+        bounds = self.leaf_boundaries()
         out = np.empty((n, self.dims))
         for d in range(self.dims):
-            lo = np.zeros(n)
-            hi = np.ones(n)
-            prefix = np.zeros(n, dtype=np.int64)
+            leaf = np.zeros(n, dtype=np.int64)
             for j in range(self.levels):
-                node = (1 << j) - 1 + prefix
-                go_left = rng.random(n) < y[d, node]
-                split = lo + (hi - lo) * betas[d, node]
-                hi = np.where(go_left, split, hi)
-                lo = np.where(go_left, lo, split)
-                prefix = 2 * prefix + (~go_left)
+                go_left = rng.random(n) < y[d, (1 << j) - 1 + leaf]
+                leaf = 2 * leaf + (~go_left)
+            lo, hi = bounds[d, leaf], bounds[d, leaf + 1]
             # uniform on the half-open cell (lo, hi]
             out[:, d] = hi - (hi - lo) * rng.random(n)
         return out

@@ -201,6 +201,21 @@ class TestPrimitiveGradients:
 
         check_gradients(build, [x], tol=1e-6)
 
+    def test_concat_gradient_fd(self):
+        rng = np.random.default_rng(22)
+        a = rng.uniform(0.5, 2.0, size=(3, 2))
+        b = rng.uniform(0.5, 2.0, size=(3, 4))
+        weights = rng.standard_normal((3, 6))
+
+        def build(tape, leaves):
+            joined = ad.concat(leaves[0], leaves[1])
+            return (joined * joined * weights).sum()
+
+        check_gradients(build, [a, b], tol=1e-6)
+        tape = ad.Tape()
+        joined = ad.concat(tape.leaf(a), tape.leaf(b))
+        np.testing.assert_array_equal(joined.value, np.concatenate([a, b], axis=1))
+
 
 class TestSecondOrderThroughSpecials:
     def test_lgamma_gradient_is_digamma(self):

@@ -85,19 +85,16 @@ class TestHistogramDensity:
         out = np.exp(h.log_density(np.array([[0.2], [0.9]])))
         np.testing.assert_allclose(out, [1.5, 0.5], atol=1e-12)
 
-    def test_own_support_matches_unit_cube_with_jacobian(self):
-        rng = np.random.default_rng(13)
-        h = random_histogram(rng, bins=5, dims=2)
-        total = h.boundaries()[-1]
-        z = rng.uniform(0.05, 1.0, (20, 2))
-        unit = h.log_density(z)
-        own = h.log_density_own_support(z * total)
-        np.testing.assert_allclose(unit, own + np.log(total).sum(), atol=1e-10)
-
     def test_domain_error(self):
         h = LearnableHistogram.uniform(3, 2)
         with pytest.raises(ValueError):
             h.log_density(np.array([[0.5, 0.0]]))
+
+    def test_non_finite_points_rejected(self):
+        h = LearnableHistogram.uniform(3, 2)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="point 1, dimension 0"):
+                h.log_density(np.array([[0.5, 0.5], [bad, 0.5]]))
 
     def test_gradients(self):
         rng = np.random.default_rng(17)
@@ -116,7 +113,7 @@ class TestHistogramSampling:
     def test_cell_frequencies(self):
         rng = np.random.default_rng(19)
         h = random_histogram(rng, bins=3, dims=1)
-        draws = h.sample_latent(30000, np.random.default_rng(23))
+        draws = h.sample(30000, np.random.default_rng(23))
         assert np.all((draws > 0.0) & (draws <= 1.0))
         edges_z = h.boundaries()[:, 0] / h.boundaries()[-1, 0]
         counts = np.histogram(draws[:, 0], bins=edges_z)[0]
@@ -126,8 +123,8 @@ class TestHistogramSampling:
 
     def test_deterministic(self):
         h = random_histogram(np.random.default_rng(1), bins=4, dims=3)
-        a = h.sample_latent(64, np.random.default_rng(5))
-        b = h.sample_latent(64, np.random.default_rng(5))
+        a = h.sample(64, np.random.default_rng(5))
+        b = h.sample(64, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
 
@@ -150,10 +147,10 @@ class TestFixedPrior:
 
     def test_sampling_moments(self):
         rng = np.random.default_rng(4)
-        g = FixedPrior("gaussian", 2).sample_latent(50000, rng)
+        g = FixedPrior("gaussian", 2).sample(50000, rng)
         assert abs(g.mean()) < 0.02
         assert g.std() == pytest.approx(1.0, abs=0.02)
-        logi = FixedPrior("logistic", 1).sample_latent(50000, rng)
+        logi = FixedPrior("logistic", 1).sample(50000, rng)
         assert logi.std() == pytest.approx(np.pi / np.sqrt(3.0), abs=0.05)
 
     def test_kind_validation(self):

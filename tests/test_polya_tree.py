@@ -1,7 +1,12 @@
 """Tree-density behavior: routing, normalization, conjugacy, sampling, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polyaflow import autodiff as ad
 from polyaflow import special
@@ -26,8 +31,65 @@ def random_model(rng, levels=None, dims=None, mode=None):
     return model
 
 
+def descent(model, dim, x):
+    """Reference root-to-leaf walk comparing x with each split on its path.
+
+    Returns (path bits, leaf index, (lower, upper]) for scalar x in one
+    dimension; routing, leaf lookup and branch counts must agree with it.
+    """
+    betas = model.split_betas()[dim]
+    lo, hi, leaf, bits = 0.0, 1.0, 0, []
+    for j in range(model.levels):
+        split = lo + (hi - lo) * betas[(1 << j) - 1 + leaf]
+        if x <= split:
+            hi, bit = split, 0
+        else:
+            lo, bit = split, 1
+        bits.append(bit)
+        leaf = 2 * leaf + bit
+    return tuple(bits), leaf, (lo, hi)
+
+
+def descent_counts(model, x):
+    """Left/right branch counts per node, from the reference walk."""
+    counts = np.zeros((2, model.dims, model.n_nodes), dtype=np.int64)
+    for pt in x:
+        for d in range(model.dims):
+            path, _, _ = descent(model, d, pt[d])
+            prefix = 0
+            for j, bit in enumerate(path):
+                counts[bit, d, (1 << j) - 1 + prefix] += 1
+                prefix = 2 * prefix + bit
+    return counts[0], counts[1]
+
+
+@st.composite
+def trees_with_points(draw):
+    """A tree with random (possibly near-degenerate) splits, and points in its cube.
+
+    split_raw reaches +-40, where sigmoid rounds to 0 or 1 and leaves have
+    zero width; about half the coordinates sit exactly on a leaf boundary.
+    """
+    levels = draw(st.integers(1, 6))
+    dims = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["dyadic", "per-level", "per-node"]))
+    model = PolyaTreeModel.uniform(levels, dims, mode)
+    if model.split_raw is not None:
+        model.split_raw[...] = draw(arrays(
+            np.float64, model.split_raw.shape, elements=st.floats(-40.0, 40.0)))
+    model.raw_left[...] = draw(arrays(
+        np.float64, model.raw_left.shape, elements=st.floats(-3.0, 5.0)))
+    n = draw(st.integers(1, 12))
+    x = draw(arrays(np.float64, (n, dims),
+                    elements=st.floats(0.0, 1.0, exclude_min=True)))
+    edge = draw(arrays(np.int64, (n, dims), elements=st.integers(1, model.n_leaves)))
+    on_edge = draw(arrays(np.bool_, (n, dims)))
+    edges = model.leaf_boundaries()[np.arange(dims), edge]
+    return model, np.where(on_edge & (edges > 0.0), edges, x)
+
+
 def naive_log_density(model, x):
-    """Per-point tree walk, independent of the incidence-matrix machinery."""
+    """Per-point tree walk, independent of the path-index machinery."""
     al, ar = model.alphas()
     y = al / (al + ar)
     out = np.zeros(len(x))
@@ -135,6 +197,77 @@ class TestRouting:
             for i in range(40):
                 for d in range(model.dims):
                     assert leaf[i, d] == model.leaf_of(d, x[i, d]).leaf_index
+
+
+    def test_non_finite_points_rejected(self):
+        model = PolyaTreeModel.uniform(2, 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.array([[0.3, 0.5], [0.99, bad]])
+            with pytest.raises(ValueError, match="point 1, dimension 1"):
+                model.log_density(x)
+            with pytest.raises(ValueError, match="point 1, dimension 1"):
+                model.branch_counts(x)
+
+
+class TestRoutingProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(trees_with_points())
+    def test_route_leaf_of_and_counts_match_descent(self, case):
+        model, x = case
+        leaf = model.route(x)
+        for i in range(x.shape[0]):
+            for d in range(model.dims):
+                path, k, interval = descent(model, d, x[i, d])
+                assert leaf[i, d] == k
+                assign = model.leaf_of(d, x[i, d])
+                assert (assign.path, assign.leaf_index, assign.interval) == (path, k, interval)
+        cl, cr = model.branch_counts(x)
+        want_l, want_r = descent_counts(model, x)
+        np.testing.assert_array_equal(cl, want_l)
+        np.testing.assert_array_equal(cr, want_r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trees_with_points())
+    def test_leaf_log_densities_match_path_products(self, case):
+        model, _ = case
+        al, ar = model.alphas()
+        log_y = np.log(al / (al + ar))
+        log_1y = np.log(ar / (al + ar))
+        split = np.zeros((model.dims, model.n_nodes))
+        if model.split_raw is not None:
+            split = model.split_raw
+            if model.partition_mode == "per-level":
+                split = np.repeat(split, 1 << np.arange(model.levels), axis=1)
+        tape = ad.Tape()
+        got = model.leaf_log_densities_vars(tape, model._pvars_on(tape)).value
+        want = np.zeros_like(got)
+        for d in range(model.dims):
+            for k in range(model.n_leaves):
+                for j in range(model.levels):
+                    node = (1 << j) - 1 + (k >> (model.levels - j))
+                    if (k >> (model.levels - j - 1)) & 1:
+                        want[d, k] += log_1y[d, node] - special.log_sigmoid(-split[d, node])
+                    else:
+                        want[d, k] += log_y[d, node] - special.log_sigmoid(split[d, node])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+class TestDeepTrees:
+    def test_depth_twelve_fits_in_memory(self):
+        model = PolyaTreeModel.uniform(12, 1)
+        x = np.random.default_rng(12).uniform(1e-9, 1.0, (1000, 1))
+        tracemalloc.start()
+        try:
+            dens = model.log_density(x)
+            cl, cr = model.branch_counts(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(dens, 0.0, atol=1e-12)
+        want_l, want_r = descent_counts(model, x)
+        np.testing.assert_array_equal(cl, want_l)
+        np.testing.assert_array_equal(cr, want_r)
+        assert peak < 16 * 2**20
 
 
 class TestLogDensity:
@@ -250,21 +383,6 @@ class TestJointPosterior:
 
 
 class TestConjugateUpdate:
-    def naive_counts(self, model, x):
-        counts_l = np.zeros((model.dims, model.n_nodes), dtype=np.int64)
-        counts_r = np.zeros_like(counts_l)
-        for pt in x:
-            for d in range(model.dims):
-                prefix = 0
-                for j, bit in enumerate(model.leaf_of(d, pt[d]).path):
-                    node = 2**j - 1 + prefix
-                    if bit == 0:
-                        counts_l[d, node] += 1
-                    else:
-                        counts_r[d, node] += 1
-                    prefix = 2 * prefix + bit
-        return counts_l, counts_r
-
     def test_matches_bruteforce_exactly(self):
         rng = np.random.default_rng(2)
         for _ in range(8):
@@ -272,7 +390,7 @@ class TestConjugateUpdate:
             x = rng.uniform(1e-9, 1.0, (int(rng.integers(1, 300)), model.dims))
             scale = float(rng.uniform(0.1, 3.0))
             updated = model.conjugate_update(x, prior_alphas=1.0, count_scale=scale)
-            cl, cr = self.naive_counts(model, x)
+            cl, cr = descent_counts(model, x)
             al, ar = updated.alphas()
             np.testing.assert_allclose(al, 1.0 + scale * cl, rtol=1e-13)
             np.testing.assert_allclose(ar, 1.0 + scale * cr, rtol=1e-13)
