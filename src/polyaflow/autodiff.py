@@ -1,10 +1,24 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 The design is a classic Wengert list: a `Tape` records every primitive as
-it executes (value, parent indices, and one vector-Jacobian callback per
-parent), and `backward` replays the list once in reverse.  Because nodes
-are appended in execution order, the record is already topologically
-sorted and each node is visited exactly once.
+it executes (parent indices and one vector-Jacobian callback per parent),
+and `backward` replays the list once in reverse.  Because nodes are
+appended in execution order, the record is already topologically sorted
+and each node is visited exactly once.
+
+Each `Var` carries its own value; a tape holds only the structure the
+reverse pass needs, so an intermediate stays alive exactly as long as a
+callback or a caller refers to it.  Arrays needed only by the reverse
+pass (the sigmoid in `softplus`, digamma in `lgamma`, ...) are computed
+inside the callbacks, when `backward` runs.  An `EvalTape` keeps nothing
+at all -- no parents, no callbacks -- so each intermediate is freed as
+soon as the computation moves past it; it still checks every value for
+finiteness, and `backward` on it raises.  `evaluate` runs a tape function
+on one, which is how every numpy wrapper in the package evaluates.
+
+Numeric failure on either tape -- a non-finite value, or an input outside
+a primitive's domain -- raises `NumericError`, which is both a
+`FloatingPointError` and a `ValueError`.
 
 Operands broadcast under normal numpy rules; the reverse pass sums
 gradients back down to each parent's shape.  Values are never mutated
@@ -17,55 +31,74 @@ import numpy as np
 from . import special
 
 
+class NumericError(FloatingPointError, ValueError):
+    """A non-finite value, or an input outside a primitive's domain, on a tape."""
+
+
+def _check_finite(value):
+    if not np.all(np.isfinite(value)):
+        raise NumericError("non-finite value recorded on tape")
+
+
 class Tape:
     """Append-only record of primitive operations."""
 
+    records = True
+
     def __init__(self):
-        self._values = []
         self._parents = []
         self._vjps = []
         self._grads = None
 
     def __len__(self):
-        return len(self._values)
+        return len(self._parents)
 
     def leaf(self, value):
         """Record an input (or constant) and return its Var handle."""
         return self._record(np.asarray(value, dtype=np.float64), (), ())
 
     def _record(self, value, parents, vjps):
-        if not np.all(np.isfinite(value)):
-            raise FloatingPointError("non-finite value recorded on tape")
-        self._values.append(value)
+        _check_finite(value)
         self._parents.append(parents)
         self._vjps.append(vjps)
-        return Var(self, len(self._values) - 1)
+        return Var(self, len(self._parents) - 1, value)
 
     def _grad_of(self, index):
         if self._grads is None:
             raise RuntimeError("gradients not computed; call backward first")
-        g = self._grads[index]
-        if g is None:
-            return np.zeros_like(self._values[index])
-        return g
+        return self._grads[index]
+
+
+class EvalTape(Tape):
+    """A tape for evaluation only: checks each value is finite and records nothing."""
+
+    records = False
+
+    def __init__(self):
+        self._grads = None
+
+    def __len__(self):
+        return 0
+
+    def _record(self, value, parents, vjps):
+        _check_finite(value)
+        return Var(self, None, value)
 
 
 class Var:
     """Handle to one tape node: a value plus (after backward) a gradient."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "value")
 
-    def __init__(self, tape, index):
+    def __init__(self, tape, index, value):
         self.tape = tape
         self.index = index
-
-    @property
-    def value(self):
-        return self.tape._values[self.index]
+        self.value = value
 
     @property
     def grad(self):
-        return self.tape._grad_of(self.index)
+        g = self.tape._grad_of(self.index)
+        return np.zeros_like(self.value) if g is None else g
 
     @property
     def shape(self):
@@ -108,6 +141,17 @@ class Var:
 
     def __repr__(self):
         return f"Var(shape={self.value.shape}, index={self.index})"
+
+
+def evaluate(fn, params, *args, **kwargs):
+    """Value of `fn(tape, pvars, *args, **kwargs)` computed on a fresh EvalTape.
+
+    `params` maps names to arrays; each becomes a leaf of `pvars`, so any
+    tape function of the package doubles as its own numpy wrapper.
+    """
+    tape = EvalTape()
+    pvars = {k: tape.leaf(v) for k, v in params.items()}
+    return fn(tape, pvars, *args, **kwargs).value
 
 
 def _lift(tape, x):
@@ -263,7 +307,7 @@ def exp(a):
 def log(a):
     av = a.value
     if np.any(av <= 0.0):
-        raise ValueError("log requires strictly positive input")
+        raise NumericError("log requires strictly positive input")
     return a.tape._record(np.log(av), (a.index,), (lambda g: g / av,))
 
 
@@ -286,15 +330,14 @@ def sigmoid(a):
 def softplus(a):
     av = a.value
     value = np.maximum(av, 0.0) + np.log1p(np.exp(-np.abs(av)))
-    sig = np.asarray(special.sigmoid(av))
-    return a.tape._record(value, (a.index,), (lambda g: g * sig,))
+    return a.tape._record(value, (a.index,), (lambda g: g * special.sigmoid(av),))
 
 
 def log_sigmoid(a):
     av = a.value
     value = np.asarray(special.log_sigmoid(av))
-    sig_neg = np.asarray(special.sigmoid(-av))   # d/dx log sigmoid(x) = sigmoid(-x)
-    return a.tape._record(value, (a.index,), (lambda g: g * sig_neg,))
+    # d/dx log sigmoid(x) = sigmoid(-x)
+    return a.tape._record(value, (a.index,), (lambda g: g * special.sigmoid(-av),))
 
 
 def take(a, indices):
@@ -335,37 +378,38 @@ def concat(a, b):
 def clip(a, lo, hi):
     """Clamp values to [lo, hi]; gradient is identity strictly inside, 0 outside."""
     av = a.value
-    inside = (av > lo) & (av < hi)
-    return a.tape._record(np.clip(av, lo, hi), (a.index,), (lambda g: g * inside,))
+    return a.tape._record(np.clip(av, lo, hi), (a.index,),
+                          (lambda g: g * ((av > lo) & (av < hi)),))
 
 
 def lgamma(a):
     av = a.value
     if np.any(av <= 0.0):
-        raise ValueError("lgamma requires strictly positive input")
+        raise NumericError("lgamma requires strictly positive input")
     value = np.asarray(special.log_gamma(av))
-    dg = np.asarray(special.digamma(av))
-    return a.tape._record(value, (a.index,), (lambda g: g * dg,))
+    return a.tape._record(value, (a.index,), (lambda g: g * special.digamma(av),))
 
 
 def digamma(a):
     av = a.value
     if np.any(av <= 0.0):
-        raise ValueError("digamma requires strictly positive input")
+        raise NumericError("digamma requires strictly positive input")
     value = np.asarray(special.digamma(av))
-    tg = np.asarray(special.trigamma(av))
-    return a.tape._record(value, (a.index,), (lambda g: g * tg,))
+    return a.tape._record(value, (a.index,), (lambda g: g * special.trigamma(av),))
 
 
 def backward(loss):
     """Reverse sweep from a scalar Var; fills gradient slots on its tape.
 
     Every Var reachable from `loss` ends up with d(loss)/d(value); nodes
-    the loss does not depend on read back as zeros.
+    the loss does not depend on read back as zeros.  An EvalTape keeps no
+    record to sweep, so `loss` must come from a recording Tape.
     """
+    tape = loss.tape
+    if not tape.records:
+        raise RuntimeError("backward needs a recording Tape; an EvalTape keeps no record")
     if loss.value.size != 1:
         raise ValueError("backward requires a scalar loss")
-    tape = loss.tape
     grads = [None] * len(tape)
     grads[loss.index] = np.ones_like(loss.value)
     for i in range(loss.index, -1, -1):

@@ -112,9 +112,7 @@ class LearnableHistogram:
 
     def log_density(self, z):
         """Numpy wrapper for the unit-cube density."""
-        tape = ad.Tape()
-        pvars = {k: tape.leaf(v) for k, v in self.parameter_arrays().items()}
-        return self.log_density_vars(tape, pvars, z).value
+        return ad.evaluate(self.log_density_vars, self.parameter_arrays(), z)
 
     # -- sampling ------------------------------------------------------------
 
@@ -162,8 +160,7 @@ class FixedPrior:
         return (ad.neg(z) - 2.0 * ad.softplus(ad.neg(z))).sum(axis=1)
 
     def log_density(self, z):
-        tape = ad.Tape()
-        return self.log_density_vars(tape, {}, z).value
+        return ad.evaluate(self.log_density_vars, {}, z)
 
     def sample(self, n, rng):
         if self.kind == "gaussian":

@@ -132,13 +132,14 @@ def load_delimited(path, delimiter=",", has_header=False, splits=DEFAULT_SPLITS,
                    seed=0, standardize=True):
     """Load numeric columns from delimited text into a standardized Dataset.
 
-    Parse failures raise ValueError naming the 1-based row and column.
+    Parse failures and non-finite cells (nan, inf) raise ValueError naming
+    the 1-based file row and column.
     Columns whose training split has (near-)zero variance are dropped.
     With standardize=True the training split's mean/std are applied to all
     points and recorded on the Dataset; the record is the identity
     otherwise.
     """
-    rows = []
+    rows, file_rows = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         for r, row in enumerate(reader, start=1):
@@ -160,9 +161,16 @@ def load_delimited(path, delimiter=",", has_header=False, splits=DEFAULT_SPLITS,
                     f"{path}: row {r} has {len(values)} columns, expected {len(rows[0])}"
                 )
             rows.append(values)
+            file_rows.append(r)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     pts = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(pts)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{path}: non-finite value {float(pts[i, j])!r} at row {file_rows[i]}, column {j + 1}"
+        )
     rng = np.random.default_rng(seed)
     tr, va, te = _split_indices(pts.shape[0], splits, rng)
 

@@ -1,9 +1,13 @@
 """Beta, diagonal-Gaussian, and logistic distributions with closed-form KLs.
 
-The Beta sampler draws two Gamma variates by the Marsaglia-Tsang
-squeeze method (with the standard U^(1/a) boost below shape 1) and
-normalizes, so the only randomness primitives consumed from numpy's
-Generator are uniforms and normals.
+The Beta sampler draws the logs of two Gamma variates by the
+Marsaglia-Tsang squeeze method and returns sigmoid(log G1 - log G2) =
+G1 / (G1 + G2), so the only randomness primitives consumed from numpy's
+Generator are uniforms and normals.  Below shape 1 the standard boost
+G(a) = G(a + 1) U^(1/a) is applied in log space: at tiny shapes both
+variates would underflow to 0 and their ratio would be 0/0, but their
+logs stay finite.  The sampler is vectorized over arrays of parameters,
+one draw per entry.
 """
 
 from dataclasses import dataclass
@@ -16,39 +20,53 @@ from . import special
 _EPS = 1e-12
 
 
-def _sample_gamma(shape, rng, size):
-    """Gamma(shape, 1) draws via Marsaglia & Tsang (2000), vectorized.
+def _log_gamma_variates(shape, rng):
+    """log of one Gamma(shape_i, 1) draw per entry of the positive array `shape`.
 
-    For shape < 1 the boost Gamma(a) = Gamma(a + 1) * U^(1/a) is applied.
+    Marsaglia & Tsang (2000), vectorized over entries; below shape 1 the
+    boost log G(a) = log G(a + 1) + log(U) / a keeps tiny shapes finite.
     """
-    shape = float(shape)
-    if shape <= 0.0:
+    shape = np.asarray(shape, dtype=np.float64)
+    if not np.all(shape > 0.0):
         raise ValueError("gamma shape must be positive")
-    boost_needed = shape < 1.0
-    a = shape + 1.0 if boost_needed else shape
-    d = a - 1.0 / 3.0
+    boost = shape < 1.0
+    d = (np.where(boost, shape + 1.0, shape) - 1.0 / 3.0).reshape(-1)
     c = 1.0 / np.sqrt(9.0 * d)
 
-    out = np.empty(size, dtype=np.float64)
-    todo = np.ones(size, dtype=bool)
-    while todo.any():
-        n = int(todo.sum())
-        x = rng.standard_normal(n)
-        v = (1.0 + c * x) ** 3
-        u = rng.random(n)
+    out = np.empty(d.size)
+    todo = np.arange(d.size)
+    while todo.size:
+        x = rng.standard_normal(todo.size)
+        v = (1.0 + c[todo] * x) ** 3
+        u = rng.random(todo.size)
         ok = v > 0.0
         x2 = x * x
         with np.errstate(divide="ignore", invalid="ignore"):
             squeeze = u < 1.0 - 0.0331 * x2 * x2
-            slower = np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(np.where(ok, v, 1.0)))
+            slower = np.log(u) < 0.5 * x2 + d[todo] * (1.0 - v + np.log(np.where(ok, v, 1.0)))
         accept = ok & (squeeze | slower)
-        idx = np.flatnonzero(todo)[accept]
-        out[idx] = d * v[accept]
-        todo[idx] = False
-    if boost_needed:
-        u = rng.random(size)
-        out = out * u ** (1.0 / shape)
+        done = todo[accept]
+        out[done] = np.log(d[done] * v[accept])
+        todo = todo[~accept]
+    out = out.reshape(shape.shape)
+    if boost.any():
+        # 1 - U lies in (0, 1], so |log(1 - U)| <= 37; flooring the divisor at
+        # 1e-306 keeps the term finite for subnormal shapes (softplus of raw
+        # below about -708), so a Beta draw never meets -inf - (-inf)
+        log_u = np.log1p(-rng.random(int(boost.sum())))
+        out[boost] += log_u / np.maximum(shape[boost], 1e-306)
     return out
+
+
+def sample_beta(alpha, beta, rng):
+    """One Beta(alpha_i, beta_i) draw per entry of the broadcast parameter arrays.
+
+    Draws lie in [1e-12, 1 - 1e-12]; parameters must be strictly positive.
+    """
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=np.float64),
+                                      np.asarray(beta, dtype=np.float64))
+    log_g = _log_gamma_variates(np.stack([alpha, beta]), rng)
+    return np.clip(special.sigmoid(log_g[0] - log_g[1]), _EPS, 1.0 - _EPS)
 
 
 @dataclass(frozen=True)
@@ -82,15 +100,9 @@ class BetaDist:
 
     def sample(self, rng, size=None):
         """Draw via two Gamma variates; output clamped to [1e-12, 1 - 1e-12]."""
-        scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
-        g1 = _sample_gamma(self.alpha, rng, n)
-        g2 = _sample_gamma(self.beta, rng, n)
-        y = g1 / (g1 + g2)
-        y = np.clip(y, _EPS, 1.0 - _EPS)
-        if scalar:
-            return float(y[0])
-        return y.reshape(size)
+        n = 1 if size is None else int(np.prod(size))
+        y = sample_beta(np.full(n, self.alpha), np.full(n, self.beta), rng)
+        return float(y[0]) if size is None else y.reshape(size)
 
 
 def beta_kl(p, q):

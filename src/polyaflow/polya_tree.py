@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import special
-from .distributions import BetaDist
+from .distributions import sample_beta
 
 PARTITION_MODES = ("dyadic", "per-level", "per-node")
 
@@ -349,14 +349,10 @@ class PolyaTreeModel:
             w = tape.leaf((x_values - c_lo) * inv_gap)
         return (g_lo + w * (g_hi - g_lo)).sum(axis=1)
 
-    def _pvars_on(self, tape):
-        return {k: tape.leaf(v) for k, v in self.parameter_arrays().items()}
-
     def log_density(self, x, y_mode="posterior-mean", rng=None, smooth=False):
-        """Numpy convenience wrapper around log_density_vars; returns (N,)."""
-        tape = ad.Tape()
-        out = self.log_density_vars(tape, self._pvars_on(tape), x, y_mode, rng, smooth)
-        return out.value
+        """Numpy wrapper around log_density_vars; returns (N,)."""
+        return ad.evaluate(self.log_density_vars, self.parameter_arrays(),
+                           x, y_mode, rng, smooth)
 
     def log_joint_posterior_vars(self, tape, pvars, x, y_mode="posterior-mean", rng=None):
         """Scalar Var: data term plus Beta prior term (flat split prior adds zero).
@@ -376,9 +372,8 @@ class PolyaTreeModel:
         return self._read_leaves(tape, g, x, x_values, smooth=False).sum() + prior
 
     def log_joint_posterior(self, x, y_mode="posterior-mean", rng=None):
-        tape = ad.Tape()
-        out = self.log_joint_posterior_vars(tape, self._pvars_on(tape), x, y_mode, rng)
-        return float(out.value)
+        return float(ad.evaluate(self.log_joint_posterior_vars, self.parameter_arrays(),
+                                 x, y_mode, rng))
 
     # -- conjugate updates, sampling, uncertainty -------------------------
 
@@ -414,12 +409,7 @@ class PolyaTreeModel:
 
     def sample_branch_probabilities(self, rng):
         """One Beta draw per node: a (D, n_nodes) random branching measure."""
-        al, ar = self.alphas()
-        out = np.empty_like(al)
-        for d in range(self.dims):
-            for i in range(self.n_nodes):
-                out[d, i] = BetaDist(al[d, i], ar[d, i]).sample(rng)
-        return out
+        return sample_beta(*self.alphas(), rng)
 
     def sample(self, n, rng, y_mode="posterior-mean"):
         """Draw n points: descend by Bernoulli(Y) branches, then uniform in the leaf."""

@@ -96,8 +96,10 @@ class Adam:
         correct2 = 1.0 - self.beta2**self.t
         for key, p in params.items():
             g = grads[key]
-            m = self.m.setdefault(key, np.zeros_like(p))
-            v = self.v.setdefault(key, np.zeros_like(p))
+            m, v = self.m.get(key), self.v.get(key)
+            if m is None:
+                m = self.m[key] = np.zeros_like(p)
+                v = self.v[key] = np.zeros_like(p)
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -142,7 +144,8 @@ def train(config, dataset, rng=None, estimator=None):
 
     Returns (estimator, TrainReport).  The run is a pure function of
     (config, dataset, seed): reports and parameters reproduce bitwise.
-    A non-finite loss aborts with a RuntimeError naming epoch and batch.
+    A non-finite loss, or any numeric failure on the tape during a step,
+    aborts with a RuntimeError naming epoch and batch.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     init_rng = np.random.default_rng(int(rng.integers(0, 2**63)))

@@ -70,8 +70,7 @@ def test_criterion_01_normalization(capsys):
 
         # leaf masses three ways: the model's leaf table, an independent
         # product-of-branch-probabilities enumeration, and 1-D quadrature
-        tape = ad.Tape()
-        g = model.leaf_log_densities_vars(tape, model._pvars_on(tape)).value
+        g = ad.evaluate(model.leaf_log_densities_vars, model.parameter_arrays())
         left, right = model.alphas()
         y = left / (left + right)
         all_bounds = model.leaf_boundaries()

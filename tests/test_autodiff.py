@@ -233,3 +233,69 @@ class TestSecondOrderThroughSpecials:
         from polyaflow import special
 
         np.testing.assert_allclose(x.grad, special.trigamma(x.value), atol=1e-10)
+
+
+def _ops_on(tape, a, b, pos):
+    """One value of every primitive on `tape`, for comparing two tapes."""
+    va, vb, vp = tape.leaf(a), tape.leaf(b), tape.leaf(pos)
+    return [
+        va + vb, va - vb, va * vb, va / vp, -va, ad.matmul(va, vb.value.T),
+        va.sum(axis=0), va.mean(), ad.exp(va), ad.log(vp), ad.tanh(va), ad.relu(va),
+        ad.sigmoid(va), ad.softplus(va), ad.log_sigmoid(va), ad.take(va, [0, 5, 5]),
+        ad.concat(va, vb), ad.clip(va, -0.5, 0.5), ad.lgamma(vp), ad.digamma(vp),
+    ]
+
+
+class TestEvalTape:
+    def test_values_match_recording_tape_bitwise(self):
+        rng = np.random.default_rng(31)
+        a, b = rng.standard_normal((2, 3, 4))
+        pos = rng.uniform(0.2, 4.0, (3, 4))
+        recorded = _ops_on(ad.Tape(), a, b, pos)
+        evaluated = _ops_on(ad.EvalTape(), a, b, pos)
+        for want, got in zip(recorded, evaluated):
+            np.testing.assert_array_equal(got.value, want.value)
+
+    def test_records_nothing(self):
+        tape = ad.EvalTape()
+        x = tape.leaf(np.ones(3))
+        y = ad.exp(x * x).sum()
+        assert len(tape) == 0
+        assert y.index is None
+        assert not hasattr(tape, "_parents") and not hasattr(tape, "_vjps")
+
+    def test_backward_raises(self):
+        tape = ad.EvalTape()
+        loss = (tape.leaf(np.ones(3)) * 2.0).sum()
+        with pytest.raises(RuntimeError, match="recording Tape"):
+            ad.backward(loss)
+        with pytest.raises(RuntimeError):
+            loss.grad
+
+    def test_checks_finiteness(self):
+        tape = ad.EvalTape()
+        big = tape.leaf(1e308)
+        with np.errstate(over="ignore"), pytest.raises(ad.NumericError):
+            ad.mul(big, big)
+        with pytest.raises(ad.NumericError):
+            tape.leaf(np.array([0.0, np.nan]))
+
+    def test_evaluate_matches_recorded_value(self):
+        params = {"w": np.array([0.5, -1.5])}
+
+        def fn(tape, pvars, x):
+            return ad.softplus(pvars["w"] * x).sum()
+
+        tape = ad.Tape()
+        want = fn(tape, {"w": tape.leaf(params["w"])}, 3.0).value
+        assert ad.evaluate(fn, params, 3.0) == want
+
+
+class TestNumericError:
+    @pytest.mark.parametrize("op", [ad.log, ad.lgamma, ad.digamma])
+    def test_domain_errors_share_one_type(self, op):
+        for tape in (ad.Tape(), ad.EvalTape()):
+            with pytest.raises(ad.NumericError) as info:
+                op(tape.leaf(np.array([1.0, 0.0])))
+            assert isinstance(info.value, FloatingPointError)
+            assert isinstance(info.value, ValueError)

@@ -152,3 +152,14 @@ class TestLoader:
         np.testing.assert_allclose(
             ds.standardize_new(fresh), (fresh - ds.mean) / ds.std, atol=1e-12
         )
+
+
+class TestLoaderNonFinite:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_rejected_with_location(self, tmp_path, cell):
+        # a header and a blank line before the bad cell: the row is the file's row
+        lines = ["x,y", "1.0,2.0", "", "3.0,4.5", f"5.0,{cell}", "6.0,7.0", "8.0,9.5"]
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-finite .* row 5, column 2"):
+            load_delimited(str(path), has_header=True)

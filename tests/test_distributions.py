@@ -12,6 +12,7 @@ from polyaflow.distributions import (
     beta_kl,
     beta_kl_vars,
     gaussian_kl,
+    sample_beta,
 )
 
 from helpers import check_gradients
@@ -91,6 +92,24 @@ class TestBetaSampler:
         a = BetaDist(1.7, 3.3).sample(np.random.default_rng(9), 100)
         b = BetaDist(1.7, 3.3).sample(np.random.default_rng(9), 100)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("a", [1e-3, 1e-8, 1e-100, 1e-310])
+    def test_tiny_parameters_stay_finite(self, a):
+        # both boosted Gamma variates underflow to 0 here unless drawn in log space
+        draws = BetaDist(a, a).sample(np.random.default_rng(4), 5000)
+        assert np.all(np.isfinite(draws))
+        assert np.all((draws > 0.0) & (draws < 1.0))
+        # Beta(a, a) with a -> 0 puts half its mass near each endpoint
+        assert abs(np.mean(draws < 0.5) - 0.5) < 0.05
+
+    def test_vectorized_parameters(self):
+        rng = np.random.default_rng(12)
+        alpha = np.array([[0.3, 2.0, 9.0], [1.0, 1e-3, 4.0]])
+        beta = np.array([[0.7, 5.0, 1.0], [1.0, 2.0, 1e-3]])
+        draws = np.stack([sample_beta(alpha, beta, rng) for _ in range(20000)])
+        assert draws.shape == (20000, 2, 3)
+        assert np.all((draws > 0.0) & (draws < 1.0))
+        np.testing.assert_allclose(draws.mean(axis=0), alpha / (alpha + beta), atol=0.01)
 
 
 class TestBetaKL:

@@ -1,12 +1,17 @@
 """Flow-layer behavior: invertibility, log-determinants, and estimator assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyaflow import autodiff as ad
 from polyaflow.baselines import FixedPrior
 from polyaflow.distributions import DiagGaussian
 from polyaflow.flow import (
+    EVAL_ROWS,
     CouplingLayer,
     DensityEstimator,
     FlowModel,
@@ -14,6 +19,7 @@ from polyaflow.flow import (
     SigmoidLayer,
     build_flow,
 )
+from polyaflow.polya_tree import PolyaTreeModel
 
 from helpers import check_gradients
 
@@ -196,3 +202,93 @@ class TestEstimator:
         est = DensityEstimator(flow, FixedPrior("gaussian", 2))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="layer 0"):
             est.log_likelihood(np.array([[5.0, 5.0]]))
+
+
+def _tree_estimator(rng, dims=4, levels=3, smooth=False):
+    # a smooth base scales latent rounding by 2^levels times the step between
+    # neighbouring leaf log densities: keep the tree shallow for the 1e-13 bound
+    flow = random_flow(rng, dims=dims, n_coupling=2, hidden=(50, 50), sigmoid=True)
+    tree = PolyaTreeModel.uniform(levels, dims)
+    tree.raw_left[...] = rng.uniform(-1.0, 3.0, tree.raw_left.shape)
+    tree.raw_right[...] = rng.uniform(-1.0, 3.0, tree.raw_right.shape)
+    return DensityEstimator(flow, tree, smooth_base=smooth)
+
+
+def _recorded_log_likelihood(est, x, chunk, y_mode):
+    """Reference: log_likelihood_vars on a recording tape, `chunk` rows at a time.
+
+    A sampled base draws its tree once per call; a fresh rng with the same
+    seed gives every chunk the draw that one call with that seed makes.
+    """
+    out = []
+    for start in range(0, x.shape[0], chunk):
+        tape = ad.Tape()
+        pvars = {k: tape.leaf(v) for k, v in est.parameter_arrays().items()}
+        out.append(est.log_likelihood_vars(tape, pvars, x[start:start + chunk], y_mode=y_mode,
+                                           rng=np.random.default_rng(5)).value)
+    return np.concatenate(out)
+
+
+class TestBlockedEvaluation:
+    """Numpy-side evaluation runs the flow in EVAL_ROWS-row blocks on an EvalTape."""
+
+    N = 2 * EVAL_ROWS + 1
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("y_mode", ["posterior-mean", "sampled"])
+    def test_log_likelihood_matches_recording_tape(self, y_mode, smooth):
+        rng = np.random.default_rng(41)
+        est = _tree_estimator(rng, smooth=smooth)
+        x = 1.5 * rng.standard_normal((self.N, 4))
+        got = est.log_likelihood(x, y_mode=y_mode, rng=np.random.default_rng(5))
+        want = _recorded_log_likelihood(est, x, 3000, y_mode)
+        assert got.shape == (self.N,)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_sample_matches_unblocked_inverse(self):
+        rng = np.random.default_rng(42)
+        est = _tree_estimator(rng)
+        got = est.sample(self.N, np.random.default_rng(6))
+        z = est.base.sample(self.N, np.random.default_rng(6)).clip(1e-6, 1.0 - 1e-6)
+        np.testing.assert_allclose(got, est.flow.inverse(z), rtol=0.0, atol=1e-13)
+
+    def test_empty_input(self):
+        est = _tree_estimator(np.random.default_rng(43))
+        assert est.log_likelihood(np.zeros((0, 4))).shape == (0,)
+        assert est.sample(0, np.random.default_rng(0)).shape == (0, 4)
+
+    def test_forward_shape_validation(self):
+        flow = build_flow(2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            flow.forward(np.zeros((3, 5)))
+
+    def test_memory_does_not_grow_with_a_tape(self):
+        # a recording tape keeps every (N, 50) coupling intermediate alive:
+        # about 290 MB here; blocks on an EvalTape need about 13 MB
+        rng = np.random.default_rng(44)
+        flow = build_flow(8, n_coupling=2, hidden=(50, 50), activation="relu",
+                          sigmoid=True, rng=rng)
+        est = DensityEstimator(flow, PolyaTreeModel.uniform(6, 8))
+        x = rng.standard_normal((50000, 8))
+        tracemalloc.start()
+        try:
+            ll = est.log_likelihood(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(ll))
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestInverseProperty:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(EVAL_ROWS - 3, 2 * EVAL_ROWS + 3),
+           dims=st.integers(2, 6),
+           sigmoid=st.booleans())
+    def test_inverse_of_forward_is_identity(self, seed, n, dims, sigmoid):
+        rng = np.random.default_rng(seed)
+        flow = random_flow(rng, dims=dims, n_coupling=3, sigmoid=sigmoid)
+        x = rng.standard_normal((n, dims))
+        z, _ = flow.forward(x)
+        np.testing.assert_allclose(flow.inverse(z), x, rtol=0.0, atol=1e-9)

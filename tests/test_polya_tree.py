@@ -238,8 +238,7 @@ class TestRoutingProperties:
             split = model.split_raw
             if model.partition_mode == "per-level":
                 split = np.repeat(split, 1 << np.arange(model.levels), axis=1)
-        tape = ad.Tape()
-        got = model.leaf_log_densities_vars(tape, model._pvars_on(tape)).value
+        got = ad.evaluate(model.leaf_log_densities_vars, model.parameter_arrays())
         want = np.zeros_like(got)
         for d in range(model.dims):
             for k in range(model.n_leaves):
@@ -456,6 +455,27 @@ class TestSampling:
         c = model.sample(50, np.random.default_rng(43), y_mode="sampled")
         d = model.sample(50, np.random.default_rng(43), y_mode="sampled")
         np.testing.assert_array_equal(c, d)
+
+    def test_tiny_alphas_in_sampled_mode(self):
+        model = PolyaTreeModel.uniform(4, 3)
+        model.raw_left[...] = special.inv_softplus(1e-3)
+        model.raw_right[...] = special.inv_softplus(1e-3)
+        rng = np.random.default_rng(17)
+        y = model.sample_branch_probabilities(rng)
+        assert y.shape == (3, model.n_nodes)
+        assert np.all(np.isfinite(y)) and np.all((y > 0.0) & (y < 1.0))
+        draws = model.sample(2000, rng, y_mode="sampled")
+        assert np.all((draws > 0.0) & (draws <= 1.0))
+        dens = model.log_density(draws, y_mode="sampled", rng=rng)
+        assert np.all(np.isfinite(dens))
+
+    def test_branch_probabilities_follow_alphas(self):
+        model = PolyaTreeModel.uniform(2, 2)
+        model.raw_left[...] = special.inv_softplus(np.array([[1.0, 4.0, 0.5], [9.0, 2.0, 3.0]]))
+        rng = np.random.default_rng(18)
+        y = np.stack([model.sample_branch_probabilities(rng) for _ in range(20000)])
+        al, ar = model.alphas()
+        np.testing.assert_allclose(y.mean(axis=0), al / (al + ar), atol=0.01)
 
 
 class TestVarianceMap:

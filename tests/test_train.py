@@ -148,6 +148,16 @@ class TestTrainLoop:
                                match=r"non-finite loss at epoch 0, batch 1"):
                 train(cfg, ds)
 
+    def test_tape_domain_error_reports_epoch_and_batch(self):
+        # alpha = softplus(-800) underflows to 0, so ln(alpha) fails on the tape
+        ds = synth("checkerboard", 200, np.random.default_rng(8))
+        cfg = TrainConfig(prior="vpt", levels=2, flow_layers=1, hidden=(4,), epochs=2,
+                          batch_size=64)
+        est = build_estimator(cfg, 2, np.random.default_rng(0))
+        est.base.raw_left[...] = -800.0
+        with pytest.raises(RuntimeError, match=r"epoch 0, batch 0: log requires"):
+            train(cfg, ds, estimator=est)
+
     def test_empty_train_split_rejected(self):
         ds = Dataset(points=np.zeros((4, 2)), train_idx=EMPTY,
                      val_idx=np.arange(4), test_idx=EMPTY)
