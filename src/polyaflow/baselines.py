@@ -97,10 +97,12 @@ class LearnableHistogram:
         log_norm = ad.log(ad.exp(logits - shift).sum(axis=0)) + shift
         log_p = logits - log_norm                          # (K, D) log masses
 
-        scaled = z_values * totals.value
-        cells = np.empty(z_values.shape, dtype=np.int64)
+        # stretch by the last cell edge, as `active_bin` and `sample` do: the
+        # summed `totals` can differ from it in the last bit
         edges = np.zeros((self.bins + 1, self.dims))
         edges[1:] = np.cumsum(widths.value, axis=0)
+        scaled = z_values * edges[-1]
+        cells = np.empty(z_values.shape, dtype=np.int64)
         for d in range(self.dims):
             col = np.clip(scaled[:, d], np.nextafter(0.0, 1.0), edges[-1, d])
             cells[:, d] = np.searchsorted(edges[:, d], col, side="left") - 1

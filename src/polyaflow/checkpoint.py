@@ -2,7 +2,9 @@
 
 Floats are serialized through json's repr path, which emits the shortest
 decimal string that parses back to the identical double, so a saved and
-reloaded model evaluates bit-for-bit the same.
+reloaded model evaluates bit-for-bit the same.  Loading checks every
+array's shape against the model structure and every float for finiteness,
+and rejects a bad value with its field path (json itself accepts NaN).
 """
 
 import dataclasses
@@ -48,23 +50,67 @@ def _flow_payload(flow):
     return {"dims": flow.dims, "layers": layers}
 
 
+def _floats(value, path, shape=None):
+    """`value` as a finite float64 array, of `shape` when given.
+
+    A wrong shape or a non-finite entry raises ValueError naming `path`.
+    """
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: expected an array of numbers") from None
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{path}: expected shape {shape}, got {arr.shape}")
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        index = np.argwhere(bad)[0]
+        where = "".join(f"[{i}]" for i in index)
+        raise ValueError(f"{path}{where}: non-finite value {float(arr[tuple(index)])!r}")
+    return arr
+
+
+def _coupling_weights(weights, path, n_in, n_out):
+    """[W0, b0, W1, b1, ...] checked to chain n_in inputs through to n_out shifts.
+
+    Hidden widths are read off the biases, so each W_j must be
+    (width of the previous layer, len(b_j)).
+    """
+    if not weights or len(weights) % 2:
+        raise ValueError(f"{path}: expected [W0, b0, ...] pairs, got {len(weights)} arrays")
+    arrays, width = [], n_in
+    for j in range(0, len(weights), 2):
+        last = j == len(weights) - 2
+        bias = _floats(weights[j + 1], f"{path}[{j + 1}]", (n_out,) if last else None)
+        if bias.ndim != 1:
+            raise ValueError(f"{path}[{j + 1}]: expected a 1-D array, got shape {bias.shape}")
+        arrays += [_floats(weights[j], f"{path}[{j}]", (width, bias.shape[0])), bias]
+        width = bias.shape[0]
+    return arrays
+
+
 def _flow_restore(payload):
+    dims = int(payload["dims"])
     layers = []
-    for spec in payload["layers"]:
+    for i, spec in enumerate(payload["layers"]):
+        path = f"flow.layers[{i}]"
         kind = spec["type"]
         if kind == "coupling":
+            mask = np.asarray(spec["mask"], dtype=bool)
+            if mask.shape != (dims,):
+                raise ValueError(f"{path}.mask: expected shape {(dims,)}, got {mask.shape}")
+            n_in = int(mask.sum())
             layers.append(CouplingLayer(
-                np.asarray(spec["mask"], dtype=bool),
-                [np.asarray(w, dtype=np.float64) for w in spec["weights"]],
+                mask,
+                _coupling_weights(spec["weights"], f"{path}.weights", n_in, dims - n_in),
                 spec["activation"],
             ))
         elif kind == "scaling":
-            layers.append(ScalingLayer(np.asarray(spec["log_scale"], dtype=np.float64)))
+            layers.append(ScalingLayer(_floats(spec["log_scale"], f"{path}.log_scale", (dims,))))
         elif kind == "sigmoid":
             layers.append(SigmoidLayer())
         else:
             raise ValueError(f"unknown flow layer type {kind!r} in checkpoint")
-    return FlowModel(int(payload["dims"]), layers)
+    return FlowModel(dims, layers)
 
 
 def _base_payload(base):
@@ -91,27 +137,39 @@ def _base_payload(base):
     raise TypeError(f"cannot serialize base {type(base).__name__}")
 
 
-def _base_restore(payload):
+def _base_restore(payload, dims):
+    """The base density, checked against the flow's `dims`."""
     kind = payload["kind"]
+    if int(payload["dims"]) != dims:
+        raise ValueError(f"prior.dims: expected {dims} (flow.dims), got {payload['dims']}")
     if kind == "vpt":
+        levels, mode = int(payload["levels"]), payload["partition_mode"]
+        if levels < 1:
+            raise ValueError(f"prior.levels: expected >= 1, got {levels}")
+        nodes = (dims, (1 << levels) - 1)
         split = payload["split_raw"]
+        if split is not None:
+            split_shape = (dims, levels) if mode == "per-level" else nodes
+            split = _floats(split, "prior.split_raw", split_shape)
         return PolyaTreeModel(
-            int(payload["levels"]),
-            int(payload["dims"]),
-            np.asarray(payload["raw_left"], dtype=np.float64),
-            np.asarray(payload["raw_right"], dtype=np.float64),
-            payload["partition_mode"],
-            None if split is None else np.asarray(split, dtype=np.float64),
+            levels,
+            dims,
+            _floats(payload["raw_left"], "prior.raw_left", nodes),
+            _floats(payload["raw_right"], "prior.raw_right", nodes),
+            mode,
+            split,
         )
     if kind == "histogram":
+        bins = int(payload["bins"])
+        cells = (bins, dims)
         return LearnableHistogram(
-            int(payload["bins"]),
-            int(payload["dims"]),
-            np.asarray(payload["raw_widths"], dtype=np.float64),
-            np.asarray(payload["raw_logits"], dtype=np.float64),
+            bins,
+            dims,
+            _floats(payload["raw_widths"], "prior.raw_widths", cells),
+            _floats(payload["raw_logits"], "prior.raw_logits", cells),
         )
     if kind in ("gaussian", "logistic"):
-        return FixedPrior(kind, int(payload["dims"]))
+        return FixedPrior(kind, dims)
     raise ValueError(f"unknown prior kind {kind!r} in checkpoint")
 
 
@@ -137,7 +195,12 @@ def save_checkpoint(path, estimator, config=None, seed=None, standardization=Non
 
 
 def load_checkpoint(path):
-    """Reload a checkpoint; rejects unknown schema versions."""
+    """Reload a checkpoint; rejects unknown schema versions and malformed fields.
+
+    Array shapes are checked against the layer masks, the flow dims and the
+    tree depth, every float array for finiteness, and the standardization
+    record for length and std > 0; a ValueError names the field path.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("schema_version")
@@ -146,9 +209,10 @@ def load_checkpoint(path):
             f"unsupported checkpoint schema version {version!r} "
             f"(this build reads {SCHEMA_VERSION})"
         )
+    flow = _flow_restore(doc["flow"])
     estimator = DensityEstimator(
-        _flow_restore(doc["flow"]),
-        _base_restore(doc["prior"]),
+        flow,
+        _base_restore(doc["prior"], flow.dims),
         smooth_base=bool(doc.get("smooth_base", False)),
     )
     config = doc.get("config")
@@ -156,10 +220,13 @@ def load_checkpoint(path):
         config = TrainConfig(**config)
     standardization = doc.get("standardization")
     if standardization is not None:
-        standardization = (
-            np.asarray(standardization["mean"], dtype=np.float64),
-            np.asarray(standardization["std"], dtype=np.float64),
-        )
+        shape = (flow.dims,)
+        mean = _floats(standardization["mean"], "standardization.mean", shape)
+        std = _floats(standardization["std"], "standardization.std", shape)
+        if not np.all(std > 0.0):
+            j = int(np.flatnonzero(std <= 0.0)[0])
+            raise ValueError(f"standardization.std[{j}]: expected > 0, got {float(std[j])!r}")
+        standardization = (mean, std)
     return Checkpoint(
         estimator=estimator,
         config=config,

@@ -85,7 +85,9 @@ def _build_parser():
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--metric", choices=["nll", "bpd", "both"], default="both")
     p_eval.add_argument("--split", choices=["train", "val", "test", "all"], default="all")
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=int, default=None,
+                        help="data and split seed (default: the checkpoint's "
+                             "training seed, else 0)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sample = sub.add_parser("sample", help="draw points from a checkpoint")
@@ -192,6 +194,8 @@ def _split_points(ds, split):
 
 def cmd_eval(args):
     ck = load_checkpoint(args.model)
+    if args.seed is None:
+        args.seed = 0 if ck.seed is None else ck.seed
     ds = _resolve_dataset(args, record=ck.standardization)
     x = _split_points(ds, args.split)
     if x.shape[0] == 0:

@@ -6,7 +6,6 @@ applied (identity for the synthetic generators).  Splits are materialized
 as indices so the same matrix backs all three views.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,43 +127,72 @@ def synth(name, n, rng, splits=DEFAULT_SPLITS):
     return Dataset(pts, tr, va, te, name=name)
 
 
+def _parse(lines, delimiter, dtype=np.float64):
+    """One (rows, columns) array from delimited lines, parsed by numpy in C."""
+    return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                      quotechar='"', ndmin=2)
+
+
+def _locate_parse_error(path, lines, file_rows, delimiter):
+    """The ValueError naming the first ragged, unparsable or unclosed row, or None.
+
+    Runs only after `_parse` has rejected `lines` or merged some of them
+    (a quoted cell left open runs on into the next line).  numpy's own
+    messages count data rows, not file rows, so each line is parsed again
+    on its own; nothing parsed here is returned as data.
+    """
+    width = None
+    for r, line in zip(file_rows, lines):
+        try:
+            k = _parse([line], delimiter).shape[1]
+        except ValueError:
+            for c, cell in enumerate(_parse([line], delimiter, str)[0], start=1):
+                try:        # quoted, an empty cell is not skipped as a blank line
+                    _parse(['"' + cell.replace('"', '""') + '"'], delimiter)
+                except ValueError:
+                    return ValueError(
+                        f"{path}: could not parse {str(cell)!r} as a number "
+                        f"at row {r}, column {c}"
+                    )
+            return None
+        if width is None:
+            width = k
+        elif k != width:
+            return ValueError(f"{path}: row {r} has {k} columns, expected {width}")
+        if line.count('"') % 2:
+            return ValueError(f"{path}: quoted cell left open at row {r}")
+    return None
+
+
 def load_delimited(path, delimiter=",", has_header=False, splits=DEFAULT_SPLITS,
                    seed=0, standardize=True):
     """Load numeric columns from delimited text into a standardized Dataset.
 
-    Parse failures and non-finite cells (nan, inf) raise ValueError naming
-    the 1-based file row and column.
+    Cells are parsed by numpy's float parser: decimal and exponent notation
+    with optional surrounding whitespace, and nan/inf spellings (which are
+    then rejected).  A cell may be quoted with `"`.  Python-only literals
+    such as `1_000` are parse errors.  Blank and whitespace-only lines are
+    skipped, as is the first line when `has_header` is set.
+    Parse failures, ragged rows and non-finite cells (nan, inf) raise
+    ValueError naming the 1-based file row (and column).
     Columns whose training split has (near-)zero variance are dropped.
     With standardize=True the training split's mean/std are applied to all
     points and recorded on the Dataset; the record is the identity
     otherwise.
     """
-    rows, file_rows = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for r, row in enumerate(reader, start=1):
-            if r == 1 and has_header:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            values = []
-            for c, cell in enumerate(row, start=1):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: could not parse {cell!r} as a number "
-                        f"at row {r}, column {c}"
-                    ) from None
-            if rows and len(values) != len(rows[0]):
-                raise ValueError(
-                    f"{path}: row {r} has {len(values)} columns, expected {len(rows[0])}"
-                )
-            rows.append(values)
-            file_rows.append(r)
-    if not rows:
+    with open(path) as fh:
+        numbered = [(r, line) for r, line in enumerate(fh.read().split("\n"), start=1)
+                    if line.strip() and not (has_header and r == 1)]
+    if not numbered:
         raise ValueError(f"{path}: no data rows")
-    pts = np.asarray(rows, dtype=np.float64)
+    file_rows, lines = zip(*numbered)
+    try:
+        pts = _parse(lines, delimiter)
+        if pts.shape[0] != len(lines):
+            raise ValueError("a quoted cell runs on across lines")
+    except ValueError as err:
+        located = _locate_parse_error(path, lines, file_rows, delimiter)
+        raise located or ValueError(f"{path}: {err}") from None
     finite = np.isfinite(pts)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from polyaflow import autodiff as ad
@@ -65,6 +68,43 @@ class TestActiveBin:
             found = h.active_bin(d, x)
             scan = next(k for k in range(h.bins) if edges[k, d] < x <= edges[k + 1, d])
             assert found == scan
+
+
+@st.composite
+def histograms_with_points(draw):
+    """A 1-D histogram and points on its support: every interior edge, plus random ones."""
+    bins = draw(st.integers(2, 8))
+    raw = arrays(np.float64, (bins, 1), elements=st.floats(-3.0, 2.0))
+    h = LearnableHistogram(bins, 1, draw(raw), draw(raw))
+    edges = h.boundaries()[:, 0]
+    inside = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=4))
+    return h, np.concatenate([edges[1:-1], edges[-1] * np.asarray(inside, dtype=float)])
+
+
+class TestHalfOpenCellsProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(histograms_with_points())
+    def test_scalar_and_vectorized_routing_agree(self, case):
+        """Cells are (b_k, b_{k+1}]: an interior edge belongs to the cell on its left."""
+        h, xs = case
+        edges = h.boundaries()[:, 0]
+        total = edges[-1]
+        cell_log_density = np.log(h.probabilities()[:, 0]) - np.log(h.widths()[:, 0] / total)
+        for k in range(1, h.bins):
+            assert h.active_bin(0, edges[k]) == k - 1
+        for x in xs:
+            if x <= 0.0:
+                continue
+            cell = h.active_bin(0, x)
+            assert edges[cell] < x <= edges[cell + 1]
+            # the vectorized path routes the unit-cube point z with z * total == x
+            z = x / total
+            if z * total != x or z > 1.0:
+                continue
+            others = np.delete(cell_log_density, cell)
+            assume(np.all(np.abs(others - cell_log_density[cell]) > 1e-9))
+            got = h.log_density(np.array([[z]]))[0]
+            assert got == pytest.approx(cell_log_density[cell], rel=1e-12, abs=1e-12)
 
 
 class TestHistogramDensity:

@@ -8,9 +8,10 @@ import pytest
 from polyaflow.baselines import FixedPrior, LearnableHistogram
 from polyaflow.checkpoint import SCHEMA_VERSION, load_checkpoint, save_checkpoint
 from polyaflow.cli import main
+from polyaflow.data import load_delimited
 from polyaflow.flow import DensityEstimator, FlowModel, build_flow
 from polyaflow.polya_tree import PolyaTreeModel
-from polyaflow.train import TrainConfig
+from polyaflow.train import TrainConfig, avg_log_likelihood
 
 
 def _perturbed_tree_estimator(rng, mode="dyadic", smooth=False):
@@ -240,3 +241,147 @@ class TestCliErrors:
                    "--epochs", "1", "--out", str(tmp_path / "m.json")])
         assert rc == 1
         assert "unknown synthetic" in capsys.readouterr().err
+
+
+def _saved_doc(tmp_path, mode="per-level"):
+    """A tree checkpoint with a standardization record, as a JSON dict plus its path."""
+    est = _perturbed_tree_estimator(np.random.default_rng(9), mode)
+    path = tmp_path / "m.json"
+    save_checkpoint(path, est, seed=3,
+                    standardization=(np.array([1.0, -1.0]), np.array([2.0, 0.5])))
+    return json.loads(path.read_text()), path
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+def _pop_column(rows):
+    for row in rows:
+        row.pop()
+
+
+W0 = ("flow", "layers", 0, "weights", 0)
+
+
+class TestCheckpointValidation:
+    """Malformed fields are rejected at load time with their path, not later."""
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: _set(d, W0 + (0, 3), float("nan")),
+                     r"flow\.layers\[0\]\.weights\[0\]\[0\]\[3\]: non-finite value nan",
+                     id="nan-weight"),
+        pytest.param(lambda d: _set(d, W0[:-1] + (1,), [float("inf")] * 6),
+                     r"flow\.layers\[0\]\.weights\[1\]\[0\]: non-finite value inf",
+                     id="inf-bias"),
+        pytest.param(lambda d: _set(d, ("flow", "layers", 2, "log_scale"), [0.0, -np.inf]),
+                     r"flow\.layers\[2\]\.log_scale\[1\]: non-finite value -inf",
+                     id="inf-log-scale"),
+        pytest.param(lambda d: _set(d, ("prior", "raw_left", 1, 4), float("nan")),
+                     r"prior\.raw_left\[1\]\[4\]: non-finite value nan", id="nan-raw-left"),
+        pytest.param(lambda d: _set(d, ("prior", "split_raw", 0, 0), float("nan")),
+                     r"prior\.split_raw\[0\]\[0\]: non-finite value nan", id="nan-split"),
+        pytest.param(lambda d: _set(d, ("standardization", "mean", 0), float("nan")),
+                     r"standardization\.mean\[0\]: non-finite value nan", id="nan-mean"),
+        # the hidden width is read off the bias: W0 must be (1 input, 6 hidden)
+        pytest.param(lambda d: _pop_column(d["flow"]["layers"][0]["weights"][0]),
+                     r"flow\.layers\[0\]\.weights\[0\]: expected shape \(1, 6\), got \(1, 5\)",
+                     id="weight-column-short"),
+        # the output layer must shift the 1 unmasked coordinate
+        pytest.param(lambda d: _pop_column(d["flow"]["layers"][1]["weights"][2]),
+                     r"flow\.layers\[1\]\.weights\[2\]: expected shape \(6, 1\), got \(6, 0\)",
+                     id="output-column-short"),
+        pytest.param(lambda d: d["flow"]["layers"][0]["weights"][3].append(0.0),
+                     r"flow\.layers\[0\]\.weights\[3\]: expected shape \(1,\), got \(2,\)",
+                     id="bias-too-long"),
+        pytest.param(lambda d: d["flow"]["layers"][0]["weights"].pop(),
+                     r"flow\.layers\[0\]\.weights: expected \[W0, b0, \.\.\.\] pairs, got 3",
+                     id="odd-weight-list"),
+        pytest.param(lambda d: d["flow"]["layers"][0]["mask"].append(True),
+                     r"flow\.layers\[0\]\.mask: expected shape \(2,\), got \(3,\)",
+                     id="mask-too-long"),
+        pytest.param(lambda d: d["flow"]["layers"][2]["log_scale"].pop(),
+                     r"flow\.layers\[2\]\.log_scale: expected shape \(2,\), got \(1,\)",
+                     id="log-scale-short"),
+        pytest.param(lambda d: _pop_column(d["prior"]["raw_left"]),
+                     r"prior\.raw_left: expected shape \(2, 7\), got \(2, 6\)",
+                     id="raw-left-short"),
+        pytest.param(lambda d: d["prior"]["raw_right"].pop(),
+                     r"prior\.raw_right: expected shape \(2, 7\), got \(1, 7\)",
+                     id="raw-right-row-missing"),
+        pytest.param(lambda d: d["prior"]["split_raw"][1].append(0.0),
+                     r"prior\.split_raw: expected an array of numbers", id="ragged-split"),
+        pytest.param(lambda d: _set(d, ("prior", "dims"), 3),
+                     r"prior\.dims: expected 2 \(flow\.dims\), got 3", id="prior-dims"),
+        pytest.param(lambda d: d["standardization"]["std"].pop(),
+                     r"standardization\.std: expected shape \(2,\), got \(1,\)",
+                     id="std-short"),
+        pytest.param(lambda d: d["standardization"]["mean"].append(0.0),
+                     r"standardization\.mean: expected shape \(2,\), got \(3,\)",
+                     id="mean-too-long"),
+        pytest.param(lambda d: _set(d, ("standardization", "std", 1), 0.0),
+                     r"standardization\.std\[1\]: expected > 0, got 0\.0", id="std-zero"),
+        pytest.param(lambda d: _set(d, ("standardization", "std", 0), -2.0),
+                     r"standardization\.std\[0\]: expected > 0, got -2\.0", id="std-negative"),
+    ])
+    def test_bad_field_named(self, tmp_path, edit, message):
+        doc, path = _saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))        # json writes NaN/Infinity literals
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    def test_histogram_cells_named(self, tmp_path):
+        flow = build_flow(2, n_coupling=1, hidden=(4,), sigmoid=True,
+                          rng=np.random.default_rng(10))
+        path = tmp_path / "h.json"
+        save_checkpoint(path, DensityEstimator(flow, LearnableHistogram.uniform(4, 2)))
+        doc = json.loads(path.read_text())
+        doc["prior"]["raw_logits"].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=r"prior\.raw_logits: expected shape \(4, 2\), got \(3, 2\)"):
+            load_checkpoint(path)
+
+    def test_cli_reports_the_field(self, tmp_path, capsys):
+        doc, path = _saved_doc(tmp_path)
+        _set(doc, W0 + (0, 0), float("nan"))
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--model", str(path), "--n", "5"]) == 1
+        assert "flow.layers[0].weights[0][0][0]: non-finite" in capsys.readouterr().err
+
+
+class TestEvalSeedDefault:
+    """`eval` splits the data with the checkpoint's seed unless --seed is given."""
+
+    def _train_on_csv(self, tmp_path):
+        rng = np.random.default_rng(11)
+        pts = rng.normal([1.0, -2.0], [0.5, 2.0], size=(400, 2))
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in pts) + "\n")
+        model = str(tmp_path / "m.json")
+        assert main(["train", "--data", str(data), "--prior", "gaussian",
+                     "--flow-layers", "1", "--hidden", "8", "--epochs", "3",
+                     "--batch", "128", "--seed", "5", "--out", model]) == 0
+        return str(data), model
+
+    def _expected_nll(self, data, model, seed):
+        ck = load_checkpoint(model)
+        ds = load_delimited(data, seed=seed, standardize=False)
+        mean, std = ck.standardization
+        return -avg_log_likelihood(ck.estimator, (ds.test - mean) / std)
+
+    def _eval(self, capsys, argv):
+        capsys.readouterr()
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out.strip().splitlines()[-1])["value"]
+
+    def test_default_uses_checkpoint_seed(self, tmp_path, capsys):
+        data, model = self._train_on_csv(tmp_path)
+        argv = ["eval", "--data", data, "--model", model, "--split", "test",
+                "--metric", "nll"]
+        assert self._eval(capsys, argv) == self._expected_nll(data, model, 5)
+        # an explicit --seed still wins
+        assert self._eval(capsys, argv + ["--seed", "0"]) == self._expected_nll(data, model, 0)

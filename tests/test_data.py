@@ -1,7 +1,13 @@
 """Synthetic generators and the delimited loader."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from polyaflow.data import (
     Dataset,
@@ -152,6 +158,66 @@ class TestLoader:
         np.testing.assert_allclose(
             ds.standardize_new(fresh), (fresh - ds.mean) / ds.std, atol=1e-12
         )
+
+
+class TestLoaderSyntax:
+    """Cell syntax and error locations of the numpy-parsed loader."""
+
+    def _load(self, tmp_path, text, **kwargs):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        return load_delimited(str(path), standardize=False, **kwargs)
+
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        ds = self._load(tmp_path, "1.0,2.0\n   \n\t\n3.0,4.0\n \n5.0,6.5\n")
+        np.testing.assert_array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.5]])
+
+    def test_quoted_and_padded_cells(self, tmp_path):
+        ds = self._load(tmp_path, '"1.5",2\n3,"4"\n 5.0 ,6.5\t\n')
+        np.testing.assert_array_equal(ds.points, [[1.5, 2.0], [3.0, 4.0], [5.0, 6.5]])
+
+    def test_parse_error_after_header_and_blank_names_file_row(self, tmp_path):
+        with pytest.raises(ValueError, match="could not parse 'x' .* row 4, column 2"):
+            self._load(tmp_path, "a,b\n\n1,2\n3,x\n5,6\n", has_header=True)
+
+    def test_ragged_row_after_blank_lines_names_file_row(self, tmp_path):
+        with pytest.raises(ValueError, match="row 4 has 1 columns, expected 2"):
+            self._load(tmp_path, "1,2\n\n\n3\n4,5\n")
+
+    def test_header_only_file(self, tmp_path):
+        with pytest.raises(ValueError, match="no data rows"):
+            self._load(tmp_path, "a,b\n\n", has_header=True)
+
+    def test_python_only_literal_is_a_parse_error(self, tmp_path):
+        # Python's float() reads 1_000 as 1000.0; numpy's float parser rejects it
+        with pytest.raises(ValueError, match="could not parse '1_000' .* row 2, column 1"):
+            self._load(tmp_path, "1,2\n1_000,3\n4,5\n")
+
+    def test_quote_left_open_names_its_row(self, tmp_path):
+        # an open quote would carry the cell on into the next line ("4" + "5")
+        with pytest.raises(ValueError, match="quoted cell left open at row 2"):
+            self._load(tmp_path, '1,2\n3,"4\n5"\n6,7\n')
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([5e-324, -2.2250738585072014e-308, 1e308, -1e308])))
+    @example(np.array([[5e-324, 1e308], [-1e308, 2.2250738585072014e-308], [1.0, -0.0]]))
+    def test_repr_round_trip_is_bitwise(self, matrix):
+        text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.csv")
+            with open(path, "w") as fh:
+                fh.write(text)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    ds = load_delimited(path, standardize=False, splits=(1.0, 0.0, 0.0))
+                except ValueError as err:
+                    assert "every column is constant" in str(err)
+                    return
+                # the loader drops (near-)constant columns and keeps the rest bit for bit
+                keep = matrix[ds.train_idx].std(axis=0) > 1e-12
+        assert ds.points.tobytes() == np.ascontiguousarray(matrix[:, keep]).tobytes()
 
 
 class TestLoaderNonFinite:

@@ -410,6 +410,21 @@ class TestConjugateUpdate:
         model.conjugate_update(np.array([[0.3], [0.8]]))
         np.testing.assert_array_equal(model.raw_left, before)
 
+    @settings(max_examples=100, deadline=None)
+    @given(trees_with_points(), st.floats(0.05, 5.0), st.floats(0.05, 5.0), st.booleans(),
+           st.data())
+    def test_alphas_are_prior_plus_scaled_counts(self, case, prior, scale, per_node, data):
+        model, x = case
+        if per_node:
+            node_alphas = arrays(np.float64, (model.dims, model.n_nodes),
+                                 elements=st.floats(0.05, 5.0))
+            prior = (data.draw(node_alphas), data.draw(node_alphas))
+        prior_left, prior_right = prior if per_node else (prior, prior)
+        cl, cr = model.branch_counts(x)
+        al, ar = model.conjugate_update(x, prior_alphas=prior, count_scale=scale).alphas()
+        np.testing.assert_allclose(al, prior_left + scale * cl, rtol=1e-13)
+        np.testing.assert_allclose(ar, prior_right + scale * cr, rtol=1e-13)
+
     def test_array_priors(self):
         model = PolyaTreeModel.uniform(1, 1)
         prior = (np.full((1, 1), 2.0), np.full((1, 1), 3.0))
