@@ -1,10 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 The design is a classic Wengert list: a `Tape` records every primitive as
-it executes (parent indices and one vector-Jacobian callback per parent),
-and `backward` replays the list once in reverse.  Because nodes are
-appended in execution order, the record is already topologically sorted
-and each node is visited exactly once.
+it executes (its parent indices and one vector-Jacobian callback that
+returns one gradient per parent), and `backward` replays the list once in
+reverse.  Because nodes are appended in execution order, the record is
+already topologically sorted and each node is visited exactly once.
+
+Only `Var`s are nodes.  An operand that is not a `Var` (a Python float, a
+mask, a fixed table) is a constant: it is checked for finiteness like any
+recorded value, but it is not recorded, its parent slot holds None and the
+reverse pass skips it.  A node may stand for a whole composite: a flow's
+coupling layer is one node with a hand-written callback (see `flow`).
 
 Each `Var` carries its own value; a tape holds only the structure the
 reverse pass needs, so an intermediate stays alive exactly as long as a
@@ -21,10 +27,14 @@ a primitive's domain -- raises `NumericError`, which is both a
 `FloatingPointError` and a `ValueError`.
 
 Operands broadcast under normal numpy rules; the reverse pass sums
-gradients back down to each parent's shape.  Values are never mutated
-after recording -- rerunning a computation means building a fresh tape,
-which is how the training loop uses this module (one tape per step).
+gradients back down to each parent's shape.  An ndarray on the left of an
+operator defers to the `Var` on its right, so `array + var` is a node too.
+Values are never mutated after recording -- rerunning a computation means
+building a fresh tape, which is how the training loop uses this module
+(one tape per step).
 """
+
+import math
 
 import numpy as np
 
@@ -35,8 +45,8 @@ class NumericError(FloatingPointError, ValueError):
     """A non-finite value, or an input outside a primitive's domain, on a tape."""
 
 
-def _check_finite(value):
-    if not np.all(np.isfinite(value)):
+def check_finite(value):
+    if not np.isfinite(value).all():
         raise NumericError("non-finite value recorded on tape")
 
 
@@ -54,13 +64,18 @@ class Tape:
         return len(self._parents)
 
     def leaf(self, value):
-        """Record an input (or constant) and return its Var handle."""
-        return self._record(np.asarray(value, dtype=np.float64), (), ())
+        """Record an input and return its Var handle."""
+        return self.record(np.asarray(value, dtype=np.float64), (), None)
 
-    def _record(self, value, parents, vjps):
-        _check_finite(value)
+    def record(self, value, parents, vjp):
+        """Check `value`, append it as a node and return its Var.
+
+        `parents` holds node indices (None for a constant operand), and
+        `vjp(g)` returns one gradient per entry of `parents`.
+        """
+        check_finite(value)
         self._parents.append(parents)
-        self._vjps.append(vjps)
+        self._vjps.append(vjp)
         return Var(self, len(self._parents) - 1, value)
 
     def _grad_of(self, index):
@@ -80,8 +95,8 @@ class EvalTape(Tape):
     def __len__(self):
         return 0
 
-    def _record(self, value, parents, vjps):
-        _check_finite(value)
+    def record(self, value, parents, vjp):
+        check_finite(value)
         return Var(self, None, value)
 
 
@@ -89,6 +104,7 @@ class Var:
     """Handle to one tape node: a value plus (after backward) a gradient."""
 
     __slots__ = ("tape", "index", "value")
+    __array_ufunc__ = None          # numpy operators defer to Var's reflected ones
 
     def __init__(self, tape, index, value):
         self.tape = tape
@@ -155,12 +171,22 @@ def evaluate(fn, params, *args, **kwargs):
 
 
 def _lift(tape, x):
-    """Return x as a Var on `tape`, recording constants as leaves."""
+    """(value, node index) of an operand; a non-Var is a checked constant, index None."""
     if isinstance(x, Var):
         if x.tape is not tape:
             raise ValueError("operands recorded on different tapes")
-        return x
-    return tape.leaf(x)
+        return x.value, x.index
+    value = np.asarray(x, dtype=np.float64)
+    check_finite(value)
+    return value, None
+
+
+def _operands(a, b):
+    """(tape, a value, b value, parent indices) of a binary op's operands."""
+    tape = _tape_of(a, b)
+    av, ai = _lift(tape, a)
+    bv, bi = _lift(tape, b)
+    return tape, av, bv, (ai, bi)
 
 
 def _tape_of(*operands):
@@ -184,85 +210,49 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
-    return tape._record(
-        av + bv,
-        (a.index, b.index),
-        (lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(g, bv.shape)),
-    )
+    tape, av, bv, parents = _operands(a, b)
+    return tape.record(av + bv, parents,
+                        lambda g: (_unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)))
 
 
 def sub(a, b):
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
-    return tape._record(
-        av - bv,
-        (a.index, b.index),
-        (lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(-g, bv.shape)),
-    )
+    tape, av, bv, parents = _operands(a, b)
+    return tape.record(av - bv, parents,
+                        lambda g: (_unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b):
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
-    return tape._record(
-        av * bv,
-        (a.index, b.index),
-        (lambda g: _unbroadcast(g * bv, av.shape), lambda g: _unbroadcast(g * av, bv.shape)),
-    )
+    tape, av, bv, parents = _operands(a, b)
+    return tape.record(av * bv, parents, lambda g: (_unbroadcast(g * bv, av.shape),
+                                                     _unbroadcast(g * av, bv.shape)))
 
 
 def div(a, b):
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
-    return tape._record(
-        av / bv,
-        (a.index, b.index),
-        (
-            lambda g: _unbroadcast(g / bv, av.shape),
-            lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape),
-        ),
-    )
+    tape, av, bv, parents = _operands(a, b)
+    return tape.record(av / bv, parents, lambda g: (_unbroadcast(g / bv, av.shape),
+                                                     _unbroadcast(-g * av / (bv * bv), bv.shape)))
 
 
 def neg(a):
-    tape = a.tape
-    return tape._record(-a.value, (a.index,), (lambda g: -g,))
+    return a.tape.record(-a.value, (a.index,), lambda g: (-g,))
 
 
 def matmul(a, b):
     """Matrix product following np.matmul for 1-D and 2-D operands."""
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    av, bv = a.value, b.value
+    tape, av, bv, parents = _operands(a, b)
     if av.ndim > 2 or bv.ndim > 2:
         raise ValueError("matmul supports 1-D and 2-D operands only")
-    value = av @ bv
 
-    def grad_a(g):
+    def vjp(g):
         if av.ndim == 1 and bv.ndim == 1:
-            return g * bv
+            return g * bv, g * av
         if av.ndim == 1:          # (k,) @ (k,n) -> (n,)
-            return bv @ g
+            return bv @ g, np.outer(av, g)
         if bv.ndim == 1:          # (m,k) @ (k,) -> (m,)
-            return np.outer(g, bv)
-        return g @ bv.T
+            return np.outer(g, bv), av.T @ g
+        return g @ bv.T, av.T @ g
 
-    def grad_b(g):
-        if av.ndim == 1 and bv.ndim == 1:
-            return g * av
-        if av.ndim == 1:
-            return np.outer(av, g)
-        if bv.ndim == 1:
-            return av.T @ g
-        return av.T @ g
-
-    return tape._record(value, (a.index, b.index), (grad_a, grad_b))
+    return tape.record(av @ bv, parents, vjp)
 
 
 def _axis_tuple(axis, ndim):
@@ -273,71 +263,72 @@ def _axis_tuple(axis, ndim):
     return tuple(a % ndim for a in axis)
 
 
-def vsum(a, axis=None):
-    """Sum over the given axes (all axes when None)."""
+def _reduction(a, axis, mean):
+    """Sum (or mean) of `a` over `axis`; the reverse pass spreads g back over those axes."""
     av = a.value
     axes = _axis_tuple(axis, av.ndim)
-    value = av.sum(axis=axes) if av.ndim else av.copy()
+    kept = tuple(1 if i in axes else n for i, n in enumerate(av.shape))
+    count = math.prod(av.shape[i] for i in axes)
 
-    def grad(g):
-        expanded = np.expand_dims(g, axes) if av.ndim else g
-        return np.broadcast_to(expanded, av.shape).copy()
+    def vjp(g):
+        out = np.empty(av.shape)
+        out[...] = g.reshape(kept) / count if mean else g.reshape(kept)
+        return (out,)
 
-    return a.tape._record(value, (a.index,), (grad,))
+    if not av.ndim:
+        value = av.copy()
+    else:
+        value = av.mean(axis=axes) if mean else av.sum(axis=axes)
+    return a.tape.record(value, (a.index,), vjp)
+
+
+def vsum(a, axis=None):
+    """Sum over the given axes (all axes when None)."""
+    return _reduction(a, axis, mean=False)
 
 
 def vmean(a, axis=None):
-    av = a.value
-    axes = _axis_tuple(axis, av.ndim)
-    count = int(np.prod([av.shape[i] for i in axes])) if av.ndim else 1
-    value = av.mean(axis=axes) if av.ndim else av.copy()
-
-    def grad(g):
-        expanded = np.expand_dims(g, axes) if av.ndim else g
-        return np.broadcast_to(expanded, av.shape) / count
-
-    return a.tape._record(value, (a.index,), (grad,))
+    return _reduction(a, axis, mean=True)
 
 
 def exp(a):
     value = np.exp(a.value)
-    return a.tape._record(value, (a.index,), (lambda g: g * value,))
+    return a.tape.record(value, (a.index,), lambda g: (g * value,))
 
 
 def log(a):
     av = a.value
     if np.any(av <= 0.0):
         raise NumericError("log requires strictly positive input")
-    return a.tape._record(np.log(av), (a.index,), (lambda g: g / av,))
+    return a.tape.record(np.log(av), (a.index,), lambda g: (g / av,))
 
 
 def tanh(a):
     value = np.tanh(a.value)
-    return a.tape._record(value, (a.index,), (lambda g: g * (1.0 - value * value),))
+    return a.tape.record(value, (a.index,), lambda g: (g * (1.0 - value * value),))
 
 
 def relu(a):
     av = a.value
-    return a.tape._record(np.maximum(av, 0.0), (a.index,), (lambda g: g * (av > 0.0),))
+    return a.tape.record(np.maximum(av, 0.0), (a.index,), lambda g: (g * (av > 0.0),))
 
 
 def sigmoid(a):
-    value = special.sigmoid(a.value)
-    value = np.asarray(value)
-    return a.tape._record(value, (a.index,), (lambda g: g * value * (1.0 - value),))
+    value = np.asarray(special.sigmoid(a.value))
+    return a.tape.record(value, (a.index,), lambda g: (g * value * (1.0 - value),))
 
 
 def softplus(a):
     av = a.value
     value = np.maximum(av, 0.0) + np.log1p(np.exp(-np.abs(av)))
-    return a.tape._record(value, (a.index,), (lambda g: g * special.sigmoid(av),))
+    return a.tape.record(value, (a.index,), lambda g: (g * special.sigmoid(av),))
 
 
 def log_sigmoid(a):
     av = a.value
     value = np.asarray(special.log_sigmoid(av))
     # d/dx log sigmoid(x) = sigmoid(-x)
-    return a.tape._record(value, (a.index,), (lambda g: g * special.sigmoid(-av),))
+    return a.tape.record(value, (a.index,), lambda g: (g * special.sigmoid(-av),))
 
 
 def take(a, indices):
@@ -353,33 +344,28 @@ def take(a, indices):
     flat = av.reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= flat.size):
         raise IndexError("take index out of range")
-    value = flat[idx]
 
-    def grad(g):
+    def vjp(g):
         out = np.zeros_like(flat)
         np.add.at(out, idx.reshape(-1), g.reshape(-1))
-        return out.reshape(av.shape)
+        return (out.reshape(av.shape),)
 
-    return a.tape._record(value, (a.index,), (grad,))
+    return a.tape.record(flat[idx], (a.index,), vjp)
 
 
 def concat(a, b):
     """Join two operands along their last axis; leading shapes must match."""
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    cut = a.value.shape[-1]
-    return tape._record(
-        np.concatenate([a.value, b.value], axis=-1),
-        (a.index, b.index),
-        (lambda g: g[..., :cut], lambda g: g[..., cut:]),
-    )
+    tape, av, bv, parents = _operands(a, b)
+    cut = av.shape[-1]
+    return tape.record(np.concatenate([av, bv], axis=-1), parents,
+                        lambda g: (g[..., :cut], g[..., cut:]))
 
 
 def clip(a, lo, hi):
     """Clamp values to [lo, hi]; gradient is identity strictly inside, 0 outside."""
     av = a.value
-    return a.tape._record(np.clip(av, lo, hi), (a.index,),
-                          (lambda g: g * ((av > lo) & (av < hi)),))
+    return a.tape.record(np.clip(av, lo, hi), (a.index,),
+                          lambda g: (g * ((av > lo) & (av < hi)),))
 
 
 def lgamma(a):
@@ -387,7 +373,7 @@ def lgamma(a):
     if np.any(av <= 0.0):
         raise NumericError("lgamma requires strictly positive input")
     value = np.asarray(special.log_gamma(av))
-    return a.tape._record(value, (a.index,), (lambda g: g * special.digamma(av),))
+    return a.tape.record(value, (a.index,), lambda g: (g * special.digamma(av),))
 
 
 def digamma(a):
@@ -395,7 +381,7 @@ def digamma(a):
     if np.any(av <= 0.0):
         raise NumericError("digamma requires strictly positive input")
     value = np.asarray(special.digamma(av))
-    return a.tape._record(value, (a.index,), (lambda g: g * special.trigamma(av),))
+    return a.tape.record(value, (a.index,), lambda g: (g * special.trigamma(av),))
 
 
 def backward(loss):
@@ -414,10 +400,12 @@ def backward(loss):
     grads[loss.index] = np.ones_like(loss.value)
     for i in range(loss.index, -1, -1):
         g = grads[i]
-        if g is None:
+        parents = tape._parents[i]
+        if g is None or not parents:
             continue
-        for parent, vjp in zip(tape._parents[i], tape._vjps[i]):
-            contrib = vjp(g)
+        for parent, contrib in zip(parents, tape._vjps[i](g)):
+            if parent is None:
+                continue
             if grads[parent] is None:
                 grads[parent] = np.asarray(contrib, dtype=np.float64)
             else:

@@ -178,7 +178,8 @@ def load_delimited(path, delimiter=",", has_header=False, splits=DEFAULT_SPLITS,
     Columns whose training split has (near-)zero variance are dropped.
     With standardize=True the training split's mean/std are applied to all
     points and recorded on the Dataset; the record is the identity
-    otherwise.
+    otherwise.  A column whose mean, std or standardized values overflow
+    float64 (cells near +-1e308, say) raises ValueError naming it.
     """
     with open(path) as fh:
         numbered = [(r, line) for r, line in enumerate(fh.read().split("\n"), start=1)
@@ -202,15 +203,25 @@ def load_delimited(path, delimiter=",", has_header=False, splits=DEFAULT_SPLITS,
     rng = np.random.default_rng(seed)
     tr, va, te = _split_indices(pts.shape[0], splits, rng)
 
-    train_std = pts[tr].std(axis=0)
-    keep = train_std > 1e-12
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_std = pts[tr].std(axis=0)
+    # a std that overflowed to nan is not a constant column: keep it to fail below
+    keep = (train_std > 1e-12) | (standardize & np.isnan(train_std))
     if not np.any(keep):
         raise ValueError(f"{path}: every column is constant on the training split")
     pts = pts[:, keep]
     mean = np.zeros(pts.shape[1])
     std = np.ones(pts.shape[1])
     if standardize:
-        mean = pts[tr].mean(axis=0)
-        std = pts[tr].std(axis=0)
-        pts = (pts - mean) / std
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = pts[tr].mean(axis=0)
+            std = pts[tr].std(axis=0)
+            pts = (pts - mean) / std
+        bad = ~(np.isfinite(pts).all(axis=0) & np.isfinite(mean) & np.isfinite(std))
+        if bad.any():
+            j = np.argmax(bad)
+            raise ValueError(
+                f"{path}: column {np.flatnonzero(keep)[j] + 1} overflows float64 when "
+                f"standardized (training-split mean {mean[j]!r}, std {std[j]!r})"
+            )
     return Dataset(pts, tr, va, te, mean=mean, std=std, name=str(path))

@@ -15,6 +15,16 @@ The transport is a stack of three layer kinds:
 in plain numpy.  Layer parameters initialize so the whole stack starts at
 (scaled) identity: coupling output layers are zero, log scales are zero.
 
+On a tape a coupling layer is one node, z + scatter(net(z[:, pass])), with
+a hand-written backward; its forward is the same `CouplingLayer.net_apply`
+that `inverse` runs.  Its values and gradients are bitwise those of the
+primitive composition (one-hot gather and scatter matmuls around matmul,
+add and activation nodes) that tests/test_flow.py keeps as an oracle.
+That needs the gathered columns C-ordered, as a matmul output is: they
+are taken with `compress`, because `z[:, mask]` returns an F-ordered copy
+for D >= 3, on which BLAS and sums round differently.  The
+log-determinant starts from the first layer that changes volume.
+
 The numpy entry points (`FlowModel.forward`, and `DensityEstimator`'s
 `log_likelihood`, `latent` and `sample`) run the flow in row blocks of
 `EVAL_ROWS` = 4096 on an evaluation tape that keeps no record.  At that
@@ -33,7 +43,6 @@ sampled-mode base draws its tree once per call.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -63,19 +72,25 @@ class CouplingLayer:
         if self.activation not in ("tanh", "relu"):
             raise ValueError(f"unsupported activation: {self.activation}")
 
-    @cached_property
-    def mask_matrices(self):
-        """Scatter/gather matrices for the masked (pass) and unmasked (shift) coords."""
-        eye = np.eye(self.mask.size)
-        return eye[:, self.mask], eye[:, ~self.mask]
+    def net_apply(self, h, weights=None, hidden=None):
+        """The shift MLP on pass-through coordinates `h` (one row per point).
 
-    def net_apply(self, h):
+        `weights` defaults to the layer's own.  Given a list `hidden`, each
+        hidden pre-activation is checked finite (NumericError otherwise)
+        and each hidden activation is appended to it, for the coupling
+        node's backward.
+        """
+        weights = self.weights if weights is None else weights
         act = np.tanh if self.activation == "tanh" else lambda v: np.maximum(v, 0.0)
-        n_dense = len(self.weights) // 2
+        n_dense = len(weights) // 2
         for i in range(n_dense):
-            h = h @ self.weights[2 * i] + self.weights[2 * i + 1]
+            h = h @ weights[2 * i] + weights[2 * i + 1]
             if i < n_dense - 1:
+                if hidden is not None:
+                    ad.check_finite(h)
                 h = act(h)
+                if hidden is not None:
+                    hidden.append(h)
         return h
 
 
@@ -119,28 +134,31 @@ class FlowModel:
         `x` may be an (N, D) array or an existing Var.  log_det is (N,).
         """
         z = x if isinstance(x, ad.Var) else tape.leaf(np.asarray(x, dtype=np.float64))
-        n_pts = z.value.shape[0]
-        log_det = tape.leaf(np.zeros(n_pts))
+        log_det = None                # no node until a layer changes volume
         for i, layer in enumerate(self.layers):
             try:
                 if isinstance(layer, CouplingLayer):
-                    pass_cols, shift_cols = layer.mask_matrices
-                    h = ad.matmul(z, pass_cols)
                     weights = [pvars[f"c{i}_{'W' if j % 2 == 0 else 'b'}{j // 2}"]
                                for j in range(len(layer.weights))]
-                    shift = _apply_net_vars(weights, layer.activation, h)
-                    z = z + ad.matmul(shift, shift_cols.T)
+                    z = _couple(tape, layer, z, weights)
                 elif isinstance(layer, ScalingLayer):
                     ls = pvars[f"s{i}_log_scale"]
                     z = z * ad.exp(ls)
-                    log_det = log_det + ls.sum()
+                    term = ls.sum()
+                    log_det = term if log_det is None else log_det + term
                 elif isinstance(layer, SigmoidLayer):
-                    log_det = log_det + (ad.log_sigmoid(z) + ad.log_sigmoid(-z)).sum(axis=1)
+                    term = (ad.log_sigmoid(z) + ad.log_sigmoid(-z)).sum(axis=1)
+                    log_det = term if log_det is None else log_det + term
                     z = ad.sigmoid(z)
                 else:
                     raise TypeError(f"unknown layer type: {type(layer).__name__}")
             except FloatingPointError as err:
                 raise ad.NumericError(f"non-finite value in flow layer {i}") from err
+        n_pts = z.shape[0]
+        if log_det is None:
+            log_det = tape.leaf(np.zeros(n_pts))
+        elif log_det.shape != (n_pts,):
+            log_det = log_det + np.zeros(n_pts)
         return z, log_det
 
     def forward(self, x):
@@ -183,14 +201,36 @@ class FlowModel:
         return any(isinstance(layer, SigmoidLayer) for layer in self.layers)
 
 
-def _apply_net_vars(weights, activation, h):
-    act = ad.tanh if activation == "tanh" else ad.relu
-    n_dense = len(weights) // 2
-    for i in range(n_dense):
-        h = ad.matmul(h, weights[2 * i]) + weights[2 * i + 1]
-        if i < n_dense - 1:
-            h = act(h)
-    return h
+def _couple(tape, layer, z, weights):
+    """One tape node for a coupling layer: z + scatter(net(z[:, pass])).
+
+    `z` and `weights` ([W0, b0, W1, b1, ...]) are Vars.  The backward runs,
+    on the same array layouts, each floating-point operation the primitive
+    nodes' callbacks would (see the module docstring), so gradients stay
+    bitwise equal to theirs.
+    """
+    mask, zv = layer.mask, z.value
+    wv = [w.value for w in weights]
+    inputs = [zv.compress(mask, axis=1)]          # each dense layer's input
+    shift = layer.net_apply(inputs[0], wv, inputs)
+    out = zv.copy()
+    out[:, ~mask] += shift
+    tanh = layer.activation == "tanh"
+
+    def vjp(g):
+        grads = []
+        gh = g.compress(~mask, axis=1)
+        for k in reversed(range(len(inputs))):
+            a = inputs[k]
+            grads += [gh.sum(axis=0), a.T @ gh]   # b_k, W_k
+            gh = gh @ wv[2 * k].T
+            if k:
+                gh = gh * (1.0 - a * a) if tanh else gh * (a > 0.0)
+        gz = g.copy()
+        gz[:, mask] += gh
+        return (gz, *reversed(grads))
+
+    return tape.record(out, (z.index, *(w.index for w in weights)), vjp)
 
 
 def build_flow(dims, n_coupling=1, hidden=(50, 50), activation="tanh",

@@ -57,6 +57,14 @@ def _path_index(levels):
     return index
 
 
+@lru_cache(maxsize=None)
+def _dyadic_boundaries(levels, dims):
+    """Read-only (dims, K+1) leaf boundaries of the dyadic partition."""
+    bounds = intervals_from_splits(levels, np.full((dims, (1 << levels) - 1), 0.5), "per-node")
+    bounds.setflags(write=False)
+    return bounds
+
+
 def _level_of_node(levels):
     """(2^levels - 1,) depth of each breadth-first internal node."""
     return np.repeat(np.arange(levels), 1 << np.arange(levels))
@@ -234,8 +242,11 @@ class PolyaTreeModel:
         """(dims, K+1) array of leaf boundaries per dimension.
 
         The only place split positions are computed: routing, leaf lookup
-        and sampling all read their cells from these boundaries.
+        and sampling all read their cells from these boundaries.  Dyadic
+        boundaries are cached per (levels, dims) and read-only.
         """
+        if self.partition_mode == "dyadic":
+            return _dyadic_boundaries(self.levels, self.dims)
         return intervals_from_splits(self.levels, self.split_betas(), "per-node")
 
     # -- routing ----------------------------------------------------------
@@ -292,9 +303,9 @@ class PolyaTreeModel:
         raise ValueError(f"unknown y_mode: {y_mode}")
 
     def _log_nu_vars(self, tape, pvars):
-        """(D, K) Var of log leaf lengths under the current partition."""
+        """(D, K) log leaf lengths: a constant array for dyadic trees, else a Var."""
         if self.partition_mode == "dyadic":
-            return tape.leaf(np.full((self.dims, self.n_leaves), -self.levels * np.log(2.0)))
+            return np.full((self.dims, self.n_leaves), -self.levels * np.log(2.0))
         split = pvars["split_raw"]
         if self.partition_mode == "per-level":
             per_node = np.arange(self.dims)[:, None] * self.levels + _level_of_node(self.levels)
@@ -318,18 +329,19 @@ class PolyaTreeModel:
         the latter case `smooth=True` additionally gives the coordinates a
         gradient by interpolating leaf log densities between leaf centers.
         """
-        x_values = self._validate_points(x.value if isinstance(x, ad.Var) else x)
+        leaf = self.route(x.value if isinstance(x, ad.Var) else x)
         g = self.leaf_log_densities_vars(tape, pvars, y_mode, rng)
-        return self._read_leaves(tape, g, x, x_values, smooth)
+        return self._read_leaves(g, x, leaf, smooth)
 
-    def _read_leaves(self, tape, g, x, x_values, smooth):
-        """(N,) Var: the (D, K) leaf log densities `g` looked up at validated points."""
-        leaf = self.route(x_values)
+    def _read_leaves(self, g, x, leaf, smooth):
+        """(N,) Var: the (D, K) leaf log densities `g` looked up at points routed to `leaf`."""
         K = self.n_leaves
         flat = np.arange(self.dims)[None, :] * K + leaf
         if not smooth:
             return ad.take(g, flat).sum(axis=1)
 
+        x_values = np.asarray(x.value if isinstance(x, ad.Var) else x,
+                              dtype=np.float64).reshape(leaf.shape)
         bounds = self.leaf_boundaries()
         centers = 0.5 * (bounds[:, :-1] + bounds[:, 1:])      # (D, K)
         c_here = centers[np.arange(self.dims)[None, :], leaf]
@@ -346,7 +358,7 @@ class PolyaTreeModel:
         if isinstance(x, ad.Var):
             w = (x - c_lo) * inv_gap
         else:
-            w = tape.leaf((x_values - c_lo) * inv_gap)
+            w = (x_values - c_lo) * inv_gap
         return (g_lo + w * (g_hi - g_lo)).sum(axis=1)
 
     def log_density(self, x, y_mode="posterior-mean", rng=None, smooth=False):
@@ -361,15 +373,15 @@ class PolyaTreeModel:
         term is sum over nodes of (alpha_l - 1) ln Y + (alpha_r - 1) ln(1 - Y).
         With an empty batch only the prior term remains.
         """
-        x_values = self._validate_points(x.value if isinstance(x, ad.Var) else x)
+        leaf = self.route(x.value if isinstance(x, ad.Var) else x)
         log_y, log_1y = self._node_log_ys_vars(tape, pvars, y_mode, rng)
         al = ad.softplus(pvars["raw_left"])
         ar = ad.softplus(pvars["raw_right"])
         prior = ((al - 1.0) * log_y + (ar - 1.0) * log_1y).sum()
-        if x_values.shape[0] == 0:
+        if leaf.shape[0] == 0:
             return prior
         g = self._leaf_log_densities(tape, pvars, (log_y, log_1y))
-        return self._read_leaves(tape, g, x, x_values, smooth=False).sum() + prior
+        return self._read_leaves(g, x, leaf, smooth=False).sum() + prior
 
     def log_joint_posterior(self, x, y_mode="posterior-mean", rng=None):
         return float(ad.evaluate(self.log_joint_posterior_vars, self.parameter_arrays(),

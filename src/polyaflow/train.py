@@ -80,32 +80,53 @@ class TrainReport:
 
 
 class Adam:
-    """Per-key Adam with bias correction; updates arrays in place."""
+    """Adam with bias correction; updates the arrays of `params` in place.
+
+    The moments `m`, `v` and the per-element learning rates are flat
+    vectors over the parameters concatenated in key order, laid out on the
+    first step.  The rate vector is rebuilt only when a key's `lr_of`
+    changes, so one step is one vector update plus a write-back per key.
+    """
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = {}
-        self.v = {}
+        self.m = None
+        self.v = None
         self.t = 0
+        self._keys = None
+        self._rates = None
+        self._lr = None
 
     def step(self, params, grads, lr_of):
         self.t += 1
+        keys = tuple(params)
+        if not keys:
+            return
+        if self.m is None:
+            self._keys = keys
+            self.m = np.zeros(sum(p.size for p in params.values()))
+            self.v = np.zeros_like(self.m)
+        elif keys != self._keys:
+            raise ValueError("Adam state was laid out for other parameters")
+        rates = tuple(lr_of(k) for k in keys)
+        if rates != self._rates:
+            self._rates = rates
+            self._lr = np.repeat(rates, [params[k].size for k in keys])
+        g = np.concatenate([grads[k].reshape(-1) for k in keys])
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for key, p in params.items():
-            g = grads[key]
-            m, v = self.m.get(key), self.v.get(key)
-            if m is None:
-                m = self.m[key] = np.zeros_like(p)
-                v = self.v[key] = np.zeros_like(p)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            step = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-            p -= lr_of(key) * step
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        update = self._lr * ((m / correct1) / (np.sqrt(v / correct2) + self.eps))
+        start = 0
+        for p in params.values():
+            p -= update[start:start + p.size].reshape(p.shape)
+            start += p.size
 
 
 def build_estimator(config, dims, rng):

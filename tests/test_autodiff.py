@@ -299,3 +299,48 @@ class TestNumericError:
                 op(tape.leaf(np.array([1.0, 0.0])))
             assert isinstance(info.value, FloatingPointError)
             assert isinstance(info.value, ValueError)
+
+
+class TestConstants:
+    """Non-Var operands are checked constants, not recorded nodes."""
+
+    def test_constant_operands_are_not_nodes(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([1.0, 2.0]))
+        y = ad.div(ad.mul(x, np.array([3.0, 4.0])) + 1.0, 2.0)
+        assert len(tape) == 4                      # the leaf, mul, add and div
+        ad.backward(y.sum())
+        np.testing.assert_array_equal(x.grad, [1.5, 2.0])
+
+    @pytest.mark.parametrize("op, constant", [(ad.div, np.inf), (ad.add, np.array([np.nan]))])
+    def test_non_finite_constant_raises(self, op, constant):
+        for tape in (ad.Tape(), ad.EvalTape()):
+            v = tape.leaf(np.array([1.0, 2.0]))
+            with pytest.raises(ad.NumericError):
+                op(v, constant)
+            with pytest.raises(ad.NumericError):
+                op(constant, v)
+
+    def test_ndarray_on_the_left_defers_to_var(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([1.0, 2.0, 4.0]))
+        a = np.array([3.0, 5.0, 7.0])
+        terms = [np.zeros(3) + x, a - x, a * x, a / x, np.float64(2.0) * x]
+        assert all(isinstance(t, ad.Var) for t in terms)
+        assert len(tape) == 6
+        for term, want in zip(terms, [x.value, a - x.value, a * x.value, a / x.value,
+                                      2.0 * x.value]):
+            np.testing.assert_array_equal(term.value, want)
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        ad.backward(total.sum())
+        np.testing.assert_array_equal(x.grad, 1.0 - 1.0 + a - a / (x.value * x.value) + 2.0)
+
+    def test_reductions_spread_gradient_over_reduced_axes(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.arange(24.0).reshape(2, 3, 4))
+        w = np.arange(8.0).reshape(2, 1, 4)
+        ad.backward((x.sum(axis=1) * w[:, 0]).sum() + (x.mean(axis=(0, 2)) * 3.0).sum())
+        want = np.broadcast_to(w, (2, 3, 4)) + 3.0 / 8.0
+        np.testing.assert_array_equal(x.grad, want)

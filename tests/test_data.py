@@ -229,3 +229,39 @@ class TestLoaderNonFinite:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="non-finite .* row 5, column 2"):
             load_delimited(str(path), has_header=True)
+
+
+class TestLoaderOverflow:
+    """Finite cells whose standardization overflows float64 are rejected by column."""
+
+    def _write(self, tmp_path, rows):
+        path = tmp_path / "big.csv"
+        path.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in rows))
+        return str(path)
+
+    def test_column_near_float_max_rejected(self, tmp_path):
+        # the cells parse exactly; the training-split mean and std of column 2 overflow
+        rng = np.random.default_rng(15)
+        rows = np.column_stack([rng.normal(size=50), rng.choice([1e308, -1e308, 5e307], 50)])
+        path = self._write(tmp_path, rows)
+        with pytest.raises(ValueError, match="column 2 overflows float64"):
+            load_delimited(path)
+        raw = load_delimited(path, standardize=False)
+        assert raw.points.tobytes() == rows.tobytes()
+
+    def test_overflow_outside_training_split_rejected(self, tmp_path):
+        rows = np.column_stack([np.arange(40.0), np.arange(40.0) * 1e-3])
+        split = load_delimited(self._write(tmp_path, rows), standardize=False, seed=2)
+        rows[split.test_idx[0], 1] = 1e307            # / std of about 0.01: inf
+        path = self._write(tmp_path, rows)
+        with pytest.raises(ValueError, match="column 2 overflows float64"):
+            load_delimited(path, seed=2)
+
+    def test_ordinary_columns_standardize_as_before(self, tmp_path):
+        rng = np.random.default_rng(16)
+        rows = rng.normal([3.0, -1e5], [0.5, 2e4], size=(60, 2))
+        ds = load_delimited(self._write(tmp_path, rows), seed=1)
+        train = rows[ds.train_idx]
+        mean, std = train.mean(axis=0), train.std(axis=0)
+        assert ds.points.tobytes() == ((rows - mean) / std).tobytes()
+        assert ds.mean.tobytes() == mean.tobytes() and ds.std.tobytes() == std.tobytes()

@@ -161,6 +161,94 @@ class TestGradients:
         check_gradients(build, list(est.parameter_arrays().values()), tol=1e-4)
 
 
+def _coupling_oracle(tape, layer, z, weights):
+    """The primitive composition a coupling node stands for: one-hot gather and
+    scatter matmuls around per-layer matmul, add and activation nodes."""
+    eye = np.eye(layer.mask.size)
+    h = ad.matmul(z, eye[:, layer.mask])
+    act = ad.tanh if layer.activation == "tanh" else ad.relu
+    n_dense = len(weights) // 2
+    for i in range(n_dense):
+        h = ad.matmul(h, weights[2 * i]) + weights[2 * i + 1]
+        if i < n_dense - 1:
+            h = act(h)
+    return z + ad.matmul(h, eye[:, ~layer.mask].T)
+
+
+def _random_coupling(rng, dims, activation, parity, hidden=(50, 50)):
+    layer = build_flow(dims, n_coupling=2, hidden=hidden, activation=activation,
+                       scaling=False, rng=rng).layers[parity]
+    for w in layer.weights:
+        w += 0.5 * rng.standard_normal(w.shape)
+    return layer
+
+
+def _coupling_on_tape(layer, x, upstream, oracle):
+    """(output value, gradients of the input and of every weight) for sum(out * upstream)."""
+    tape = ad.Tape()
+    z = tape.leaf(x)
+    weights = [tape.leaf(w) for w in layer.weights]
+    if oracle:
+        out = _coupling_oracle(tape, layer, z, weights)
+    else:
+        pvars = {f"c0_{'W' if j % 2 == 0 else 'b'}{j // 2}": w for j, w in enumerate(weights)}
+        out, _ = FlowModel(x.shape[1], [layer]).forward_vars(tape, pvars, z)
+    ad.backward((out * upstream).sum())
+    return out.value, [z.grad] + [w.grad for w in weights]
+
+
+class TestCouplingNode:
+    """A coupling layer is one tape node, bitwise equal to its primitive composition."""
+
+    @pytest.mark.parametrize("dims", [2, 3, 8])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("n", [7, EVAL_ROWS - 1, EVAL_ROWS + 1])
+    def test_bitwise_equal_to_primitive_composition(self, dims, activation, parity, n):
+        rng = np.random.default_rng(dims * 100 + parity * 10 + (activation == "tanh"))
+        layer = _random_coupling(rng, dims, activation, parity)
+        x = rng.standard_normal((n, dims))
+        upstream = rng.standard_normal((n, dims))
+        got_value, got_grads = _coupling_on_tape(layer, x, upstream, oracle=False)
+        want_value, want_grads = _coupling_on_tape(layer, x, upstream, oracle=True)
+        assert got_value.tobytes() == want_value.tobytes()
+        for got, want in zip(got_grads, want_grads):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_node_per_coupling(self):
+        rng = np.random.default_rng(3)
+        flow = random_flow(rng, dims=4, n_coupling=3, scaling=False)
+        tape = ad.Tape()
+        pvars = {k: tape.leaf(v) for k, v in flow.parameter_arrays().items()}
+        before = len(tape)
+        flow.forward_vars(tape, pvars, tape.leaf(rng.standard_normal((5, 4))))
+        assert len(tape) - before == 1 + 3 + 1      # input leaf, 3 couplings, zero log_det
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_finite_differences(self, activation):
+        rng = np.random.default_rng(8)
+        layer = _random_coupling(rng, 3, activation, 1, hidden=(6, 5))
+        x = rng.standard_normal((6, 3))
+        upstream = rng.standard_normal((6, 3))
+        keys = [f"c0_{'W' if j % 2 == 0 else 'b'}{j // 2}" for j in range(len(layer.weights))]
+
+        def build(tape, leaves):
+            out, _ = FlowModel(3, [layer]).forward_vars(tape, dict(zip(keys, leaves[1:])),
+                                                        leaves[0])
+            return (out * out * upstream).sum()
+
+        check_gradients(build, [x] + [w.copy() for w in layer.weights], tol=1e-6)
+
+    def test_non_finite_hidden_activation_reports_layer(self):
+        # tanh saturates, so only the check of the hidden pre-activation sees the overflow
+        layer = _random_coupling(np.random.default_rng(9), 2, "tanh", 0, hidden=(3,))
+        layer.weights[0][...] = 1e308
+        flow = FlowModel(2, [layer])
+        with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match="layer 0"):
+            flow.forward(np.array([[10.0, 1.0]]))
+
+
 class TestEstimator:
     def test_gaussian_assembly_matches_manual(self):
         rng = np.random.default_rng(30)

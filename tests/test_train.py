@@ -63,6 +63,72 @@ class TestAdam:
         assert abs(p["w"][0] + 0.05) < 1e-3
 
 
+def _per_key_adam(beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference Adam keeping separate moments per key: a step function over (params, grads, lr_of)."""
+    m, v, t = {}, {}, [0]
+
+    def step(params, grads, lr_of):
+        t[0] += 1
+        correct1 = 1.0 - beta1**t[0]
+        correct2 = 1.0 - beta2**t[0]
+        for key, p in params.items():
+            g = grads[key]
+            mk = m.setdefault(key, np.zeros_like(p))
+            vk = v.setdefault(key, np.zeros_like(p))
+            mk *= beta1
+            mk += (1.0 - beta1) * g
+            vk *= beta2
+            vk += (1.0 - beta2) * (g * g)
+            p -= lr_of(key) * ((mk / correct1) / (np.sqrt(vk / correct2) + eps))
+
+    return step
+
+
+class TestFlatAdam:
+    SHAPES = {"flow/c0_W0": (3, 4), "flow/c0_b0": (4,), "flow/s1_log_scale": (2,),
+              "prior/raw_left": (2, 7), "prior/raw_right": (2, 7)}
+
+    def _run(self, keys, steps=50):
+        rng = np.random.default_rng(17)
+        start = {k: rng.standard_normal(self.SHAPES[k]) for k in keys}
+        flat = {k: v.copy() for k, v in start.items()}
+        ref = {k: v.copy() for k, v in start.items()}
+        opt, ref_step = Adam(0.8, 0.99, 1e-7), _per_key_adam(0.8, 0.99, 1e-7)
+        scale = [1.0]
+
+        def lr_of(key):
+            return (0.01 if key.startswith("flow/") else 0.1) * scale[0]
+
+        for t in range(steps):
+            if t in (20, 35):
+                scale[0] *= 0.5
+            grads = {k: rng.standard_normal(self.SHAPES[k]) * 10.0 ** rng.integers(-6, 2)
+                     for k in keys}
+            opt.step(flat, grads, lr_of)
+            ref_step(ref, grads, lr_of)
+            for k in keys:
+                assert flat[k].tobytes() == ref[k].tobytes(), (t, k)
+        return opt
+
+    def test_matches_per_key_reference_bitwise(self):
+        self._run(list(self.SHAPES))
+
+    def test_flow_only_subset(self):
+        self._run([k for k in self.SHAPES if k.startswith("flow/")])
+
+    def test_empty_parameter_set(self):
+        opt = Adam()
+        opt.step({}, {}, lambda k: 0.1)
+        opt.step({}, {}, lambda k: 0.1)
+        assert opt.t == 2
+
+    def test_other_keys_rejected(self):
+        opt = Adam()
+        opt.step({"a": np.zeros(2)}, {"a": np.ones(2)}, lambda k: 0.1)
+        with pytest.raises(ValueError, match="other parameters"):
+            opt.step({"b": np.zeros(2)}, {"b": np.ones(2)}, lambda k: 0.1)
+
+
 class TestBuildEstimator:
     def test_tree_prior_gets_unit_cube_flow(self):
         cfg = TrainConfig(prior="vpt", levels=3)
@@ -210,6 +276,20 @@ class TestTrainLoop:
             return max(np.abs(left - 1.0).max(), np.abs(right - 1.0).max())
 
         assert deviation(50.0) < deviation(0.0)
+
+
+class TestTapeSize:
+    def test_criterion_07_loss_records_at_most_40_nodes(self):
+        # vpt L=3 under one (50, 50) relu coupling, scaling and the sigmoid squash
+        cfg = TrainConfig(prior="vpt", levels=3, flow_layers=1, hidden=(50, 50),
+                          activation="relu", batch_size=256)
+        est = build_estimator(cfg, 2, np.random.default_rng(0))
+        xb = synth("checkerboard", 256, np.random.default_rng(1)).points
+        tape = Tape()
+        pvars = {k: tape.leaf(v) for k, v in est.parameter_arrays().items()}
+        loss = -est.log_likelihood_vars(tape, pvars, xb).mean()
+        assert len(tape) <= 40
+        assert np.isfinite(loss.value)
 
 
 class TestMetrics:
