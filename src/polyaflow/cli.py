@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import SYNTHETIC_NAMES, Dataset, load_delimited, synth
+from .data import SYNTHETIC_NAMES, load_delimited, synth
 from .polya_tree import PolyaTreeModel
 from .train import (
     TrainConfig,
@@ -124,16 +124,7 @@ def _resolve_dataset(args, record=None):
     else:
         ds = load_delimited(args.data, args.delimiter, args.header, splits,
                             seed=args.seed, standardize=record is None)
-    if record is not None:
-        mean, std = record
-        if mean.shape[0] != ds.dims:
-            raise ValueError(
-                f"checkpoint expects {mean.shape[0]} columns, data has {ds.dims}"
-            )
-        pts = (ds.points - mean) / std
-        ds = Dataset(pts, ds.train_idx, ds.val_idx, ds.test_idx,
-                     mean=mean, std=std, name=ds.name)
-    return ds
+    return ds if record is None else ds.standardized(*record)
 
 
 def cmd_train(args):

@@ -6,7 +6,7 @@ applied (identity for the synthetic generators).  Splits are materialized
 as indices so the same matrix backs all three views.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ class Dataset:
     mean: np.ndarray = None
     std: np.ndarray = None
     name: str = ""
+    columns: np.ndarray = None      # 1-based source column of each column
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -35,6 +36,8 @@ class Dataset:
             self.mean = np.zeros(self.points.shape[1])
         if self.std is None:
             self.std = np.ones(self.points.shape[1])
+        if self.columns is None:
+            self.columns = np.arange(1, self.points.shape[1] + 1)
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.std = np.asarray(self.std, dtype=np.float64)
 
@@ -61,6 +64,31 @@ class Dataset:
     def standardize_new(self, x):
         """Apply this dataset's standardization record to fresh raw points."""
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
+
+    def standardized(self, mean, std):
+        """This raw dataset with the record (mean, std) applied and kept.
+
+        The one place a standardization is applied: the loader uses it with
+        the training split's record, and `eval` with a checkpoint's.  A
+        record of the wrong width, or a column whose standardized values,
+        mean or std overflow float64 (cells near +-1e308, say), raises
+        ValueError naming the source column.
+        """
+        mean = np.asarray(mean, dtype=np.float64)
+        std = np.asarray(std, dtype=np.float64)
+        if mean.shape != (self.dims,) or std.shape != (self.dims,):
+            raise ValueError(f"{self.name}: standardization record has {mean.size} "
+                             f"columns, data has {self.dims}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = (self.points - mean) / std
+        bad = ~(np.isfinite(pts).all(axis=0) & np.isfinite(mean) & np.isfinite(std))
+        if bad.any():
+            j = np.argmax(bad)
+            raise ValueError(
+                f"{self.name}: column {self.columns[j]} overflows float64 when "
+                f"standardized (mean {mean[j]!r}, std {std[j]!r})"
+            )
+        return replace(self, points=pts, mean=mean, std=std)
 
 
 def _split_indices(n, splits, rng):
@@ -179,7 +207,8 @@ def load_delimited(path, delimiter=",", has_header=False, splits=DEFAULT_SPLITS,
     With standardize=True the training split's mean/std are applied to all
     points and recorded on the Dataset; the record is the identity
     otherwise.  A column whose mean, std or standardized values overflow
-    float64 (cells near +-1e308, say) raises ValueError naming it.
+    float64 (cells near +-1e308, say) raises ValueError naming it
+    (`Dataset.standardized`).
     """
     with open(path) as fh:
         numbered = [(r, line) for r, line in enumerate(fh.read().split("\n"), start=1)
@@ -209,19 +238,9 @@ def load_delimited(path, delimiter=",", has_header=False, splits=DEFAULT_SPLITS,
     keep = (train_std > 1e-12) | (standardize & np.isnan(train_std))
     if not np.any(keep):
         raise ValueError(f"{path}: every column is constant on the training split")
-    pts = pts[:, keep]
-    mean = np.zeros(pts.shape[1])
-    std = np.ones(pts.shape[1])
-    if standardize:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = pts[tr].mean(axis=0)
-            std = pts[tr].std(axis=0)
-            pts = (pts - mean) / std
-        bad = ~(np.isfinite(pts).all(axis=0) & np.isfinite(mean) & np.isfinite(std))
-        if bad.any():
-            j = np.argmax(bad)
-            raise ValueError(
-                f"{path}: column {np.flatnonzero(keep)[j] + 1} overflows float64 when "
-                f"standardized (training-split mean {mean[j]!r}, std {std[j]!r})"
-            )
-    return Dataset(pts, tr, va, te, mean=mean, std=std, name=str(path))
+    ds = Dataset(pts[:, keep], tr, va, te, name=str(path), columns=np.flatnonzero(keep) + 1)
+    if not standardize:
+        return ds
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = ds.train.mean(axis=0), ds.train.std(axis=0)
+    return ds.standardized(mean, std)

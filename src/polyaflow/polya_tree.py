@@ -16,11 +16,13 @@ Everything that follows a leaf's path uses one cached (L, K) path-index
 table: leaf log masses (ln Y or ln(1-Y) per node), log leaf lengths
 (log beta or log(1-beta) per node) and branch counts are all a gather
 along it, so memory grows as O(L K).  Split positions are computed in
-one place, `leaf_boundaries`; routing is a binary search of those
-boundaries per dimension (a point goes to the first leaf whose upper
-boundary is >= x, which is exactly the half-open cell a root-to-leaf
-descent reaches), and leaf lookup and sampling read their cells from
-the same boundaries.
+one place, `leaf_boundaries`.  Routing sends a point to the first leaf
+whose upper boundary is >= x, which is exactly the half-open cell a
+root-to-leaf descent reaches: learned partitions binary-search their
+boundaries per dimension, and dyadic trees compute ceil(x 2^L) - 1,
+which gives the same leaf bit for bit.  Sampling draws each dimension's
+leaves from the leaf masses the density uses, then a uniform position
+in the leaf's cell.
 
 Parameters are stored as unconstrained floats: alphas through a softplus,
 split proportions through a sigmoid.
@@ -241,9 +243,9 @@ class PolyaTreeModel:
     def leaf_boundaries(self):
         """(dims, K+1) array of leaf boundaries per dimension.
 
-        The only place split positions are computed: routing, leaf lookup
-        and sampling all read their cells from these boundaries.  Dyadic
-        boundaries are cached per (levels, dims) and read-only.
+        The only place split positions are computed: learned routing,
+        leaf lookup and sampling read their cells from these boundaries.
+        Dyadic boundaries are cached per (levels, dims) and read-only.
         """
         if self.partition_mode == "dyadic":
             return _dyadic_boundaries(self.levels, self.dims)
@@ -260,18 +262,31 @@ class PolyaTreeModel:
         check_unit_cube(x)
         return x
 
-    def route(self, x):
-        """Leaf index per point and dimension: (N, D) ints in [0, 2^L).
+    def _route_column(self, column, bounds, out):
+        """Write the leaf of each coordinate of one dimension, all in (0, 1], into `out`.
 
         A point lands in the first leaf whose upper boundary is >= x, which
         is the half-open (lower, upper] cell a root-to-leaf descent reaches,
-        zero-width leaves included.
+        zero-width leaves included.  Learned partitions binary-search their
+        (K+1,) `bounds`.  Dyadic boundaries are exactly k / 2^L and x * 2^L
+        is exact (a power-of-two scaling), so there the leaf is
+        ceil(x * 2^L) - 1, the binary search's answer bit for bit.
         """
+        if self.partition_mode == "dyadic":
+            scaled = column * float(self.n_leaves)
+            np.ceil(scaled, out=scaled)
+            np.subtract(scaled, 1.0, out=out, casting="unsafe")
+        else:
+            out[...] = np.searchsorted(bounds, column, side="left")
+            out -= 1
+
+    def route(self, x):
+        """Leaf index per point and dimension: (N, D) ints in [0, 2^L)."""
         x = self._validate_points(x)
         bounds = self.leaf_boundaries()
         leaf = np.empty(x.shape, dtype=np.int64)
         for d in range(self.dims):
-            leaf[:, d] = np.searchsorted(bounds[d], x[:, d], side="left") - 1
+            self._route_column(x[:, d], bounds[d], leaf[:, d])
         return leaf
 
     def leaf_of(self, dim, x):
@@ -282,7 +297,9 @@ class PolyaTreeModel:
         if not 0.0 < x <= 1.0:
             raise ValueError("x must lie in (0, 1]")
         bounds = self.leaf_boundaries()[dim]
-        leaf = int(np.searchsorted(bounds, x, side="left")) - 1
+        out = np.empty(1, dtype=np.int64)
+        self._route_column(np.array([x]), bounds, out)
+        leaf = int(out[0])
         path = tuple((leaf >> (self.levels - 1 - j)) & 1 for j in range(self.levels))
         return LeafAssignment(path, leaf, (float(bounds[leaf]), float(bounds[leaf + 1])))
 
@@ -312,6 +329,10 @@ class PolyaTreeModel:
             split = ad.take(split, per_node)                    # (D, n)
         return _path_sums(ad.log_sigmoid(split), ad.log_sigmoid(-split), self.levels)
 
+    def _leaf_log_masses_vars(self, tape, pvars, y_mode="posterior-mean", rng=None):
+        """(D, K) Var: log probability of each leaf (sampled mode draws Y first)."""
+        return _path_sums(*self._node_log_ys_vars(tape, pvars, y_mode, rng), self.levels)
+
     def _leaf_log_densities(self, tape, pvars, log_ys):
         """(D, K) Var of leaf log densities from the node pair (ln Y, ln(1-Y))."""
         return _path_sums(*log_ys, self.levels) - self._log_nu_vars(tape, pvars)
@@ -334,11 +355,16 @@ class PolyaTreeModel:
         return self._read_leaves(g, x, leaf, smooth)
 
     def _read_leaves(self, g, x, leaf, smooth):
-        """(N,) Var: the (D, K) leaf log densities `g` looked up at points routed to `leaf`."""
+        """(N,) Var: the (D, K) leaf log densities `g` looked up at points routed to `leaf`.
+
+        `leaf` is a fresh `route` result owned by the caller, and the
+        non-smooth lookup offsets it in place into flat indices of `g`
+        rather than holding a second (N, D) index array.
+        """
         K = self.n_leaves
-        flat = np.arange(self.dims)[None, :] * K + leaf
         if not smooth:
-            return ad.take(g, flat).sum(axis=1)
+            leaf += np.arange(self.dims) * K
+            return ad.take(g, leaf).sum(axis=1)
 
         x_values = np.asarray(x.value if isinstance(x, ad.Var) else x,
                               dtype=np.float64).reshape(leaf.shape)
@@ -424,21 +450,21 @@ class PolyaTreeModel:
         return sample_beta(*self.alphas(), rng)
 
     def sample(self, n, rng, y_mode="posterior-mean"):
-        """Draw n points: descend by Bernoulli(Y) branches, then uniform in the leaf."""
-        if y_mode == "posterior-mean":
-            al, ar = self.alphas()
-            y = al / (al + ar)
-        elif y_mode == "sampled":
-            y = self.sample_branch_probabilities(rng)
-        else:
-            raise ValueError(f"unknown y_mode: {y_mode}")
+        """Draw n points: leaves from the leaf masses, then uniform in the leaf.
+
+        Per dimension, one multinomial draw splits the n points over the K
+        leaves and a shuffle puts those leaf ids in random row order, so
+        rows are iid and dimensions independent.
+        """
+        log_mass = ad.evaluate(self._leaf_log_masses_vars, self.parameter_arrays(),
+                               y_mode, rng)
         bounds = self.leaf_boundaries()
+        leaf_ids = np.arange(self.n_leaves)
         out = np.empty((n, self.dims))
         for d in range(self.dims):
-            leaf = np.zeros(n, dtype=np.int64)
-            for j in range(self.levels):
-                go_left = rng.random(n) < y[d, (1 << j) - 1 + leaf]
-                leaf = 2 * leaf + (~go_left)
+            mass = np.exp(log_mass[d])
+            leaf = np.repeat(leaf_ids, rng.multinomial(n, mass / mass.sum()))
+            rng.shuffle(leaf)
             lo, hi = bounds[d, leaf], bounds[d, leaf + 1]
             # uniform on the half-open cell (lo, hi]
             out[:, d] = hi - (hi - lo) * rng.random(n)

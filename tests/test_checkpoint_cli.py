@@ -1,6 +1,7 @@
 """Checkpoint round-trips and the command-line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,26 @@ class TestCliErrors:
                    "--epochs", "1", "--out", str(tmp_path / "m.json")])
         assert rc == 1
         assert "unknown synthetic" in capsys.readouterr().err
+
+    def test_eval_record_overflow_names_column(self, tmp_path, capsys):
+        # the checkpoint's record has std ~1e-3, so +-1e308 cells overflow
+        # only when the record is applied, not when the file is parsed
+        rng = np.random.default_rng(19)
+        rows = rng.normal(0.0, 1e-3, size=(300, 2))
+        data = tmp_path / "small.csv"
+        data.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in rows))
+        model = str(tmp_path / "m.json")
+        assert main(["train", "--data", str(data), "--prior", "vpt", "--levels", "2",
+                     "--flow-layers", "1", "--hidden", "4", "--epochs", "1",
+                     "--seed", "3", "--out", model]) == 0
+        capsys.readouterr()
+        rows[:, 1] = np.where(rng.random(300) < 0.5, 1e308, -1e308)
+        data.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # no RuntimeWarning on the way
+            rc = main(["eval", "--data", str(data), "--model", model])
+        assert rc == 1
+        assert "column 2 overflows float64" in capsys.readouterr().err
 
 
 def _saved_doc(tmp_path, mode="per-level"):

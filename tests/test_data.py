@@ -257,6 +257,20 @@ class TestLoaderOverflow:
         with pytest.raises(ValueError, match="column 2 overflows float64"):
             load_delimited(path, seed=2)
 
+    def test_saved_record_overflow_names_source_column(self, tmp_path):
+        # column 1 is constant and dropped, so dataset column 2 is file column 3
+        rows = np.column_stack([np.ones(30), np.arange(30.0), np.full(30, 1e308)])
+        path = tmp_path / "three.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in r) + "\n" for r in rows))
+        raw = load_delimited(str(path), standardize=False)
+        assert list(raw.columns) == [2, 3]
+        ok = raw.standardized(np.zeros(2), np.ones(2))
+        assert ok.points.tobytes() == raw.points.tobytes()
+        with pytest.raises(ValueError, match="column 3 overflows float64"):
+            raw.standardized(np.array([0.0, -1e308]), np.array([1.0, 1e-3]))
+        with pytest.raises(ValueError, match="record has 3 columns, data has 2"):
+            raw.standardized(np.zeros(3), np.ones(3))
+
     def test_ordinary_columns_standardize_as_before(self, tmp_path):
         rng = np.random.default_rng(16)
         rows = rng.normal([3.0, -1e5], [0.5, 2e4], size=(60, 2))

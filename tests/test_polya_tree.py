@@ -1,5 +1,6 @@
 """Tree-density behavior: routing, normalization, conjugacy, sampling, gradients."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,38 @@ def descent(model, dim, x):
         bits.append(bit)
         leaf = 2 * leaf + bit
     return tuple(bits), leaf, (lo, hi)
+
+
+def searchsorted_route(model, x):
+    """Reference routing: one binary search of the leaf boundaries per dimension."""
+    bounds = model.leaf_boundaries()
+    leaf = np.empty(x.shape, dtype=np.int64)
+    for d in range(model.dims):
+        leaf[:, d] = np.searchsorted(bounds[d], x[:, d], side="left") - 1
+    return leaf
+
+
+def counts_of_leaves(model, leaf):
+    """Left/right branch counts per node of (N, D) leaf indices, one level at a time."""
+    n, L = model.n_nodes, model.levels
+    counts = np.zeros((2, model.dims, n), dtype=np.int64)
+    for d in range(model.dims):
+        for j in range(L):
+            node = (1 << j) - 1 + (leaf[:, d] >> (L - j))
+            bit = (leaf[:, d] >> (L - j - 1)) & 1
+            counts[:, d] += np.bincount(bit * n + node, minlength=2 * n).reshape(2, n)
+    return counts[0], counts[1]
+
+
+def dyadic_edge_points(levels, dims, rng):
+    """Random points, every k / 2^L boundary, its float neighbours, 5e-324 and 1.0."""
+    edges = np.arange(1, (1 << levels) + 1) / float(1 << levels)
+    column = np.concatenate([
+        rng.uniform(0.0, 1.0, 2000), edges, np.nextafter(edges, 0.0),
+        np.nextafter(edges[:-1], 2.0), [5e-324, 1e-310, 1.0],
+    ])
+    column = column[column > 0.0]
+    return np.column_stack([rng.permutation(column) for _ in range(dims)])
 
 
 def descent_counts(model, x):
@@ -226,6 +259,40 @@ class TestRoutingProperties:
         np.testing.assert_array_equal(cl, want_l)
         np.testing.assert_array_equal(cr, want_r)
 
+    @pytest.mark.parametrize("levels", range(1, 17))
+    def test_dyadic_route_matches_binary_search(self, levels):
+        rng = np.random.default_rng(levels)
+        model = PolyaTreeModel.uniform(levels, 3)
+        x = dyadic_edge_points(levels, 3, rng)
+        leaf = model.route(x)
+        want = searchsorted_route(model, x)
+        assert leaf.dtype == want.dtype and leaf.shape == want.shape
+        np.testing.assert_array_equal(leaf, want)
+        cl, cr = model.branch_counts(x)
+        want_l, want_r = counts_of_leaves(model, want)
+        np.testing.assert_array_equal(cl, want_l)
+        np.testing.assert_array_equal(cr, want_r)
+        for i in rng.choice(x.shape[0], 60, replace=False):
+            for d in range(3):
+                assert model.leaf_of(d, x[i, d]).leaf_index == leaf[i, d]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16),
+           arrays(np.float64, (8, 2), elements=st.floats(0.0, 1.0, exclude_min=True)))
+    def test_dyadic_route_matches_binary_search_anywhere(self, levels, x):
+        model = PolyaTreeModel.uniform(levels, 2)
+        np.testing.assert_array_equal(model.route(x), searchsorted_route(model, x))
+
+    @pytest.mark.parametrize("mode", ["dyadic", "per-level", "per-node"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1.0 + 2**-52, 3.0])
+    def test_points_outside_cube_rejected_by_position(self, mode, bad):
+        model = PolyaTreeModel.uniform(10, 3, mode)
+        x = np.full((4, 3), 0.5)
+        x[2, 1] = bad
+        for call in (model.route, model.branch_counts):
+            with pytest.raises(ValueError, match="point 2, dimension 1"):
+                call(x)
+
     @settings(max_examples=100, deadline=None)
     @given(trees_with_points())
     def test_leaf_log_densities_match_path_products(self, case):
@@ -267,6 +334,21 @@ class TestDeepTrees:
         np.testing.assert_array_equal(cl, want_l)
         np.testing.assert_array_equal(cr, want_r)
         assert peak < 16 * 2**20
+
+
+    def test_serving_memory_stays_column_wise(self):
+        # the (N, D) outputs alone are 6.1 MB; whole-array temporaries would double them
+        model = random_model(np.random.default_rng(8), levels=10, dims=8, mode="dyadic")
+        x = np.random.default_rng(9).uniform(1e-9, 1.0, (100_000, 8))
+        for call, limit in [(lambda: model.sample(100_000, np.random.default_rng(1)), 12),
+                            (lambda: model.route(x), 8)]:
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit * 2**20
 
 
 class TestLogDensity:
@@ -434,23 +516,76 @@ class TestConjugateUpdate:
         assert ar[0, 0] == pytest.approx(3.0, rel=1e-12)
 
 
+def leaf_masses(model, y):
+    """(D, K) leaf probabilities: the product of Y or 1 - Y down each leaf's path."""
+    leaves = np.arange(model.n_leaves)
+    mass = np.ones((model.dims, model.n_leaves))
+    for j in range(model.levels):
+        node = (1 << j) - 1 + (leaves >> (model.levels - j))
+        right = (leaves >> (model.levels - j - 1)) & 1
+        mass *= np.where(right == 1, 1.0 - y[:, node], y[:, node])
+    return mass
+
+
+def within_band(count, n, p, cells):
+    """Binomial counts within Bernstein's bound of n p, for `cells` counts checked at once.
+
+    |count - n p| <= t with t = L/3 + sqrt(L^2/9 + 2 L n p (1 - p)) and
+    L = ln(2 cells / 1e-4): by Bernstein's inequality and a union bound, a
+    correct sampler fails any of the cells with probability below 1e-4.
+    For large counts t is about sqrt(2 L) sigma (4.8 sigma for 4 cells, 6
+    for 3,072); unlike a normal band it also holds for leaves expected to
+    be hit less than once.
+    """
+    L = np.log(2.0 * cells / 1e-4)
+    return np.abs(count - n * p) <= L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * n * p * (1.0 - p))
+
+
+def check_leaf_frequencies(levels, dims, mode, y_mode):
+    """Sampled leaves follow the leaf masses; rows iid, dimensions independent."""
+    rng = np.random.default_rng(31 + levels + dims)
+    model = random_model(rng, levels=levels, dims=dims, mode=mode)
+    if y_mode == "posterior-mean":
+        # Y ~ 1e-200 at the root and its left child: the leftmost quarter
+        # of leaves has mass exactly zero (in the oracle and in log space)
+        model.raw_left[:, :2] = special.inv_softplus(1e-200)
+        al, ar = model.alphas()
+        y = al / (al + ar)
+    else:
+        # sample() draws Y first, so the same seed gives the same measure
+        y = model.sample_branch_probabilities(np.random.default_rng(5))
+    mass = leaf_masses(model, y)
+    n = 100_000
+    draws = model.sample(n, np.random.default_rng(5), y_mode=y_mode)
+    assert draws.shape == (n, dims)
+    assert np.all((draws > 0.0) & (draws <= 1.0))
+    leaf = model.route(draws)
+    counts = np.stack([np.bincount(leaf[:, d], minlength=model.n_leaves)
+                       for d in range(dims)])
+    assert np.all(counts[mass == 0.0] == 0)
+    if y_mode == "posterior-mean":
+        assert np.all(mass[:, : model.n_leaves // 4] == 0.0)
+    assert np.all(within_band(counts, n, mass, mass.size))
+    # rows are iid: in every dimension both halves of the rows fall at or
+    # below the leaf whose cumulative mass is nearest 1/2 (short of 1) alike
+    cumulative = np.cumsum(mass, axis=1)
+    cut = np.argmin(np.abs(cumulative[:, :-1] - 0.5), axis=1)
+    low = leaf <= cut
+    p_low = cumulative[np.arange(dims), cut]
+    halves = np.stack([low[: n // 2].sum(axis=0), low[n // 2:].sum(axis=0)])
+    assert np.all(within_band(halves, n // 2, p_low, halves.size))
+    if dims > 1:
+        # and dimensions are independent
+        both = low[:, 0] & low[:, 1]
+        assert within_band(both.sum(), n, p_low[0] * p_low[1], 1)
+
+
 class TestSampling:
     def test_leaf_frequencies_match_probabilities(self):
-        rng = np.random.default_rng(31)
-        model = random_model(rng, levels=2, dims=1, mode="dyadic")
-        n = 40000
-        draws = model.sample(n, np.random.default_rng(5))
-        assert draws.shape == (n, 1)
-        assert np.all((draws > 0.0) & (draws <= 1.0))
-        leaf = model.route(draws)[:, 0]
-        cells = model.intervals(0)
-        mids = np.array([[0.5 * (lo + hi)] for lo, hi in cells])
-        lens = np.array([hi - lo for lo, hi in cells])
-        probs = np.exp(model.log_density(mids)) * lens
-        for k in range(4):
-            freq = np.mean(leaf == k)
-            sigma = np.sqrt(probs[k] * (1.0 - probs[k]) / n)
-            assert abs(freq - probs[k]) < 4.0 * sigma + 1e-9
+        for levels, dims, mode, y_mode in itertools.product(
+                [2, 10], [1, 3], ["dyadic", "per-level", "per-node"],
+                ["posterior-mean", "sampled"]):
+            check_leaf_frequencies(levels, dims, mode, y_mode)
 
     def test_uniform_within_leaf(self):
         model = PolyaTreeModel.uniform(1, 1)
