@@ -196,7 +196,7 @@ def _tape_of(*operands):
     raise TypeError("at least one operand must be a Var")
 
 
-def _unbroadcast(grad, shape):
+def unbroadcast(grad, shape):
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
         return grad
@@ -212,25 +212,25 @@ def _unbroadcast(grad, shape):
 def add(a, b):
     tape, av, bv, parents = _operands(a, b)
     return tape.record(av + bv, parents,
-                        lambda g: (_unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)))
+                        lambda g: (unbroadcast(g, av.shape), unbroadcast(g, bv.shape)))
 
 
 def sub(a, b):
     tape, av, bv, parents = _operands(a, b)
     return tape.record(av - bv, parents,
-                        lambda g: (_unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)))
+                        lambda g: (unbroadcast(g, av.shape), unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b):
     tape, av, bv, parents = _operands(a, b)
-    return tape.record(av * bv, parents, lambda g: (_unbroadcast(g * bv, av.shape),
-                                                     _unbroadcast(g * av, bv.shape)))
+    return tape.record(av * bv, parents, lambda g: (unbroadcast(g * bv, av.shape),
+                                                     unbroadcast(g * av, bv.shape)))
 
 
 def div(a, b):
     tape, av, bv, parents = _operands(a, b)
-    return tape.record(av / bv, parents, lambda g: (_unbroadcast(g / bv, av.shape),
-                                                     _unbroadcast(-g * av / (bv * bv), bv.shape)))
+    return tape.record(av / bv, parents, lambda g: (unbroadcast(g / bv, av.shape),
+                                                     unbroadcast(-g * av / (bv * bv), bv.shape)))
 
 
 def neg(a):

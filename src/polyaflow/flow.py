@@ -22,8 +22,17 @@ primitive composition (one-hot gather and scatter matmuls around matmul,
 add and activation nodes) that tests/test_flow.py keeps as an oracle.
 That needs the gathered columns C-ordered, as a matmul output is: they
 are taken with `compress`, because `z[:, mask]` returns an F-ordered copy
-for D >= 3, on which BLAS and sums round differently.  The
-log-determinant starts from the first layer that changes volume.
+for D >= 3, on which BLAS and sums round differently.  The shift MLP runs
+in place: each dense layer's matmul makes one fresh array, and the bias
+add and the activation overwrite it, which are the same floating-point
+operations as `h @ W + b` and `act(h)`.
+
+The sigmoid squash is two tape nodes, a log-det node and a sigmoid node,
+that share one exp(-|u|) (see `_squash`); together they are bitwise the
+six-node primitive composition (two log_sigmoid, neg, add, sum and
+sigmoid, plus the add onto the running log-determinant) that
+tests/test_flow.py keeps as an oracle.  The log-determinant starts from
+the first layer that changes volume.
 
 The numpy entry points (`FlowModel.forward`, and `DensityEstimator`'s
 `log_likelihood`, `latent` and `sample`) run the flow in row blocks of
@@ -81,14 +90,18 @@ class CouplingLayer:
         node's backward.
         """
         weights = self.weights if weights is None else weights
-        act = np.tanh if self.activation == "tanh" else lambda v: np.maximum(v, 0.0)
+        tanh = self.activation == "tanh"
         n_dense = len(weights) // 2
         for i in range(n_dense):
-            h = h @ weights[2 * i] + weights[2 * i + 1]
+            h = h @ weights[2 * i]          # a fresh array: the rest runs in place on it
+            h += weights[2 * i + 1]
             if i < n_dense - 1:
                 if hidden is not None:
                     ad.check_finite(h)
-                h = act(h)
+                if tanh:
+                    np.tanh(h, out=h)
+                else:
+                    np.maximum(h, 0.0, out=h)
                 if hidden is not None:
                     hidden.append(h)
         return h
@@ -147,9 +160,7 @@ class FlowModel:
                     term = ls.sum()
                     log_det = term if log_det is None else log_det + term
                 elif isinstance(layer, SigmoidLayer):
-                    term = (ad.log_sigmoid(z) + ad.log_sigmoid(-z)).sum(axis=1)
-                    log_det = term if log_det is None else log_det + term
-                    z = ad.sigmoid(z)
+                    z, log_det = _squash(tape, z, log_det)
                 else:
                     raise TypeError(f"unknown layer type: {type(layer).__name__}")
             except FloatingPointError as err:
@@ -175,7 +186,7 @@ class FlowModel:
         return z, log_det
 
     def inverse(self, z):
-        """Exact inverse of forward, in plain numpy."""
+        """Exact inverse of forward, in plain numpy, on a copy of `z` updated in place."""
         x = np.array(z, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dims:
             raise ValueError(f"points must be (N, {self.dims})")
@@ -185,13 +196,15 @@ class FlowModel:
                 shift = layer.net_apply(x[:, layer.mask])
                 x[:, ~layer.mask] -= shift
             elif isinstance(layer, ScalingLayer):
-                x = x / np.exp(layer.log_scale)
+                x /= np.exp(layer.log_scale)
             elif isinstance(layer, SigmoidLayer):
                 if np.any(x <= 0.0) or np.any(x >= 1.0):
                     raise ValueError(
                         "sigmoid inverse requires values strictly inside (0, 1)"
                     )
-                x = np.log(x) - np.log1p(-x)
+                log1m = np.log1p(-x)
+                np.log(x, out=x)
+                x -= log1m
             if not np.all(np.isfinite(x)):
                 raise FloatingPointError(f"non-finite value inverting flow layer {i}")
         return x
@@ -233,6 +246,43 @@ def _couple(tape, layer, z, weights):
     return tape.record(out, (z.index, *(w.index for w in weights)), vjp)
 
 
+def _squash(tape, z, log_det):
+    """The sigmoid layer as two tape nodes: (sigmoid(z), log_det + sum_d log sigmoid'(z)).
+
+    `log_det` is a Var or None.  The log-det node is recorded first and
+    lists `z` twice, then `log_det`, so `backward` adds its contributions
+    in the order of the primitive composition it stands for, and values
+    and gradients stay bitwise equal to it.  Both nodes share exp(-|u|):
+    the exponent of `special.sigmoid`, where(u >= 0, -u, u), equals -|u|
+    up to the sign of a zero.  The callbacks capture arrays and shapes
+    only: a captured Var would close a tape -> callback -> Var -> tape
+    cycle, and every step's tape would wait for the garbage collector.
+    """
+    u = z.value
+    pos = u >= 0.0
+    e = np.exp(-np.abs(u))
+    soft = np.log1p(e)
+    # special.log_sigmoid(u) + special.log_sigmoid(-u), one exp and log1p for both
+    value = (-(np.maximum(-u, 0.0) + soft) + -(np.maximum(u, 0.0) + soft)).sum(axis=1)
+    denom = 1.0 + e
+    upper, lower = 1.0 / denom, e / denom        # sigmoid(|u|), sigmoid(-|u|)
+    sig = np.where(pos, upper, lower)
+    parents = (z.index, z.index)
+    if log_det is not None:
+        value = log_det.value + value
+        parents += (log_det.index,)
+        log_det_shape = log_det.shape
+
+    def log_det_vjp(g):
+        g_pts = g[:, None]
+        grads = (-(g_pts * sig), g_pts * np.where(pos, lower, upper))
+        return grads if len(parents) == 2 else (*grads, ad.unbroadcast(g, log_det_shape))
+
+    log_det = tape.record(value, parents, log_det_vjp)
+    z = tape.record(sig, (z.index,), lambda g: (g * sig * (1.0 - sig),))
+    return z, log_det
+
+
 def build_flow(dims, n_coupling=1, hidden=(50, 50), activation="tanh",
                scaling=True, sigmoid=False, rng=None):
     """Assemble a standard stack: couplings, then scaling, then optional sigmoid.
@@ -269,9 +319,10 @@ class DensityEstimator:
 
     The base must expose parameter_arrays() (names prefixed 'prior/'; flow
     parameters are prefixed 'flow/'), log_density_vars(tape, pvars, z, ...)
-    and sample(n, rng, ...).  Bases supported on the unit cube
-    should sit behind a flow whose last layer is the sigmoid squash; their
-    inputs are clamped to [1e-6, 1 - 1e-6] before evaluation.
+    and sample(n, rng, ...), which returns a fresh array.  Bases supported
+    on the unit cube should sit behind a flow whose last layer is the
+    sigmoid squash; their inputs are clamped to [1e-6, 1 - 1e-6] before
+    evaluation, and their samples before the inverse, in place.
     """
 
     flow: FlowModel
@@ -313,7 +364,7 @@ class DensityEstimator:
     def _latent_and_log_det(self, x):
         z, log_det = self.flow.forward(x)
         if self.flow.has_sigmoid:
-            z = np.clip(z, _UNIT_EPS, 1.0 - _UNIT_EPS)
+            np.clip(z, _UNIT_EPS, 1.0 - _UNIT_EPS, out=z)
         return z, log_det
 
     def latent(self, x):
@@ -324,7 +375,7 @@ class DensityEstimator:
         """Draw from the model: sample the base, then invert the flow in row blocks."""
         z = self.base.sample(n, rng, **base_kwargs)
         if self.flow.has_sigmoid:
-            z = np.clip(z, _UNIT_EPS, 1.0 - _UNIT_EPS)
+            np.clip(z, _UNIT_EPS, 1.0 - _UNIT_EPS, out=z)
         x = np.empty_like(z)
         for rows in _row_blocks(n):
             x[rows] = self.flow.inverse(z[rows])

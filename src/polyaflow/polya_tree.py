@@ -12,10 +12,11 @@ reached by branch bits e_1..e_t sits at index 2^t - 1 + int(e_1..e_t as
 binary).  A depth-L tree has 2^L - 1 internal nodes and K = 2^L leaves
 per dimension.
 
-Everything that follows a leaf's path uses one cached (L, K) path-index
-table: leaf log masses (ln Y or ln(1-Y) per node), log leaf lengths
-(log beta or log(1-beta) per node) and branch counts are all a gather
-along it, so memory grows as O(L K).  Split positions are computed in
+Per-leaf sums along a path use one cached (L, K) path-index table: leaf
+log masses (ln Y or ln(1-Y) per node) and log leaf lengths (log beta or
+log(1-beta) per node) are a gather along it, so memory grows as O(L K).
+Branch counts go the other way, from the (D, K) leaf counts up one level
+at a time, so they need O(N D + D K) memory.  Split positions are computed in
 one place, `leaf_boundaries`.  Routing sends a point to the first leaf
 whose upper boundary is >= x, which is exactly the half-open cell a
 root-to-leaf descent reaches: learned partitions binary-search their
@@ -416,13 +417,23 @@ class PolyaTreeModel:
     # -- conjugate updates, sampling, uncertainty -------------------------
 
     def branch_counts(self, x):
-        """Left/right routing counts per node: two (D, n_nodes) int arrays."""
+        """Left/right routing counts per node: two (D, n_nodes) int arrays.
+
+        One bincount gives the (D, K) leaf counts; each level's left and
+        right counts are then the even and odd entries of the level below,
+        and their pairwise sums are this level's counts, from the leaves up.
+        """
         leaf = self.route(x)
-        width = 2 * self.n_nodes                      # one [left | right] row per dim
-        flat = _path_index(self.levels)[:, leaf] + np.arange(self.dims) * width
-        counts = np.bincount(flat.reshape(-1), minlength=self.dims * width)
-        counts = counts.reshape(self.dims, 2, self.n_nodes)
-        return counts[:, 0], counts[:, 1]
+        leaf += np.arange(self.dims) * self.n_leaves
+        counts = np.bincount(leaf.reshape(-1), minlength=self.dims * self.n_leaves)
+        counts = counts.reshape(self.dims, self.n_leaves)
+        left = np.empty((self.dims, self.n_nodes), dtype=counts.dtype)
+        right = np.empty_like(left)
+        for depth in reversed(range(self.levels)):
+            level = slice((1 << depth) - 1, (2 << depth) - 1)
+            left[:, level], right[:, level] = counts[:, 0::2], counts[:, 1::2]
+            counts = left[:, level] + right[:, level]
+        return left, right
 
     def conjugate_update(self, x, prior_alphas=1.0, count_scale=1.0):
         """Closed-form Beta-Binomial refresh: alpha = prior + scale * counts.

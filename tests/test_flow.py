@@ -249,6 +249,74 @@ class TestCouplingNode:
             flow.forward(np.array([[10.0, 1.0]]))
 
 
+def _squash_oracle(z, log_det):
+    """The primitive composition a sigmoid layer's two nodes stand for."""
+    term = (ad.log_sigmoid(z) + ad.log_sigmoid(-z)).sum(axis=1)
+    log_det = term if log_det is None else log_det + term
+    return ad.sigmoid(z), log_det
+
+
+def _squash_on_tape(flow, x, upstream, upstream_log_det, oracle):
+    """(z, log_det, gradients of x and of every parameter) for
+    sum(z * upstream) + sum(log_det * upstream_log_det); no z term when upstream is None.
+
+    `flow` holds scaling and sigmoid layers; the oracle runs the scaling
+    layer as `forward_vars` does and each squash as `_squash_oracle`.
+    """
+    tape = ad.Tape()
+    leaves = [tape.leaf(x)]
+    pvars = {k: tape.leaf(v) for k, v in flow.parameter_arrays().items()}
+    leaves += pvars.values()
+    if oracle:
+        z, log_det = leaves[0], None
+        for i, layer in enumerate(flow.layers):
+            if isinstance(layer, ScalingLayer):
+                ls = pvars[f"s{i}_log_scale"]
+                z, log_det = z * ad.exp(ls), ls.sum()
+            else:
+                z, log_det = _squash_oracle(z, log_det)
+    else:
+        z, log_det = flow.forward_vars(tape, pvars, leaves[0])
+    loss = (log_det * upstream_log_det).sum()
+    if upstream is not None:
+        loss = loss + (z * upstream).sum()
+    ad.backward(loss)
+    return z.value, log_det.value, [v.grad for v in leaves]
+
+
+class TestSquashNode:
+    """The sigmoid layer is two tape nodes, bitwise equal to its primitive composition."""
+
+    @pytest.mark.parametrize("dims", [1, 2, 8])
+    @pytest.mark.parametrize("before", [None, "scaling", "sigmoid"])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_bitwise_equal_to_primitive_composition(self, dims, before, smooth):
+        rng = np.random.default_rng(dims * 10 + smooth)
+        layers = {None: [], "sigmoid": [SigmoidLayer()],
+                  "scaling": [ScalingLayer(rng.uniform(-0.1, 0.1, dims))]}[before]
+        flow = FlowModel(dims, layers + [SigmoidLayer()])
+        # saturated tails (|u| >= 40, where exp(-|u|) underflows past 745) and signed zeros
+        special = np.array([0.0, -0.0, 45.0, -45.0, 120.0, -120.0, 800.0, -800.0])
+        x = np.concatenate([3.0 * rng.standard_normal(40 * dims),
+                            np.tile(special, dims)]).reshape(-1, dims)
+        upstream = rng.standard_normal(x.shape) if smooth else None
+        upstream_log_det = rng.standard_normal(x.shape[0])
+        got = _squash_on_tape(flow, x, upstream, upstream_log_det, oracle=False)
+        want = _squash_on_tape(flow, x, upstream, upstream_log_det, oracle=True)
+        for got_value, want_value in zip(got[:2], want[:2]):
+            assert got_value.tobytes() == want_value.tobytes()
+        for got_grad, want_grad in zip(got[2], want[2]):
+            assert got_grad.shape == want_grad.shape
+            assert got_grad.tobytes() == want_grad.tobytes()
+
+    def test_two_nodes_per_squash(self):
+        tape = ad.Tape()
+        z = tape.leaf(np.random.default_rng(0).standard_normal((5, 3)))
+        before = len(tape)
+        FlowModel(3, [SigmoidLayer(), SigmoidLayer()]).forward_vars(tape, {}, z)
+        assert len(tape) - before == 4
+
+
 class TestEstimator:
     def test_gaussian_assembly_matches_manual(self):
         rng = np.random.default_rng(30)

@@ -335,6 +335,23 @@ class TestDeepTrees:
         np.testing.assert_array_equal(cr, want_r)
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("mode", ["dyadic", "per-node"])
+    def test_branch_counts_memory_stays_linear_in_points(self, mode):
+        # a fit-deep conjugate refresh: 14,000 x 8 points at L = 10, whose (L, N, D)
+        # path-index gather took 18 MB; the (N, D) leaves alone are 0.9 MB
+        model = random_model(np.random.default_rng(8), levels=10, dims=8, mode=mode)
+        x = np.random.default_rng(9).uniform(1e-9, 1.0, (14_000, 8))
+        tracemalloc.start()
+        try:
+            cl, cr = model.branch_counts(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want_l, want_r = counts_of_leaves(model, model.route(x))
+        assert cl.dtype == want_l.dtype and cr.dtype == want_r.dtype
+        np.testing.assert_array_equal(cl, want_l)
+        np.testing.assert_array_equal(cr, want_r)
+        assert peak <= 4 * 2**20
 
     def test_serving_memory_stays_column_wise(self):
         # the (N, D) outputs alone are 6.1 MB; whole-array temporaries would double them
