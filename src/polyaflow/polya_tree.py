@@ -12,12 +12,17 @@ reached by branch bits e_1..e_t sits at index 2^t - 1 + int(e_1..e_t as
 binary).  A depth-L tree has 2^L - 1 internal nodes and K = 2^L leaves
 per dimension.
 
-Per-leaf sums along a path use one cached (L, K) path-index table: leaf
-log masses (ln Y or ln(1-Y) per node) and log leaf lengths (log beta or
-log(1-beta) per node) are a gather along it, so memory grows as O(L K).
-Branch counts go the other way, from the (D, K) leaf counts up one level
-at a time, so they need O(N D + D K) memory.  Split positions are computed in
-one place, `leaf_boundaries`.  Routing sends a point to the first leaf
+Two level-by-level sums carry everything between nodes and leaves.
+`_sum_down` adds per-node values top-down into (D, K) per-leaf path
+sums: leaf log masses (ln Y or ln(1-Y) per node) and log leaf lengths
+(ln beta or ln(1-beta)).  `_sum_up` adds (D, K) leaf values bottom-up
+into per-node left/right subtree sums: branch counts (weighted or not)
+and the tree's gradients.  On a tape the tree density is two nodes: a
+(D, K) leaf table whose vjp is a `_sum_up` of its gradient followed by
+the Beta-Binomial closed forms (Lavine 1992), and a leaf read whose vjp
+is one weighted bincount.  Memory is O(N D + D K).
+
+Split positions are computed in one place, `leaf_boundaries`.  Routing sends a point to the first leaf
 whose upper boundary is >= x, which is exactly the half-open cell a
 root-to-leaf descent reaches: learned partitions binary-search their
 boundaries per dimension, and dyadic trees compute ceil(x 2^L) - 1,
@@ -44,23 +49,6 @@ _UNIT_RAW = float(special.inv_softplus(1.0))   # raw value giving alpha = 1
 
 
 @lru_cache(maxsize=None)
-def _path_index(levels):
-    """(levels, K) int table of each leaf's path through a depth-`levels` tree.
-
-    Entry (j, k) is the breadth-first node leaf k visits at depth j, plus
-    n = 2^levels - 1 when the leaf lies in that node's right subtree, so it
-    indexes a per-node row laid out as [left values | right values].
-    """
-    leaves = np.arange(1 << levels)
-    depth = np.arange(levels)[:, None]
-    node = (1 << depth) - 1 + (leaves >> (levels - depth))
-    right = (leaves >> (levels - depth - 1)) & 1
-    index = node + ((1 << levels) - 1) * right
-    index.setflags(write=False)
-    return index
-
-
-@lru_cache(maxsize=None)
 def _dyadic_boundaries(levels, dims):
     """Read-only (dims, K+1) leaf boundaries of the dyadic partition."""
     bounds = intervals_from_splits(levels, np.full((dims, (1 << levels) - 1), 0.5), "per-node")
@@ -73,16 +61,56 @@ def _level_of_node(levels):
     return np.repeat(np.arange(levels), 1 << np.arange(levels))
 
 
-def _path_sums(left, right, levels):
-    """(D, K) Var: per leaf, the sum over its path of left[node] or right[node].
+def _sum_down(left, right, levels):
+    """(D, K) sums over each leaf's path of the (D, n) left[node] or right[node] values.
 
-    `left` and `right` are (D, n) Vars of per-node values for the branch
-    taken to the left and to the right.
+    Built top-down one level at a time, so each leaf adds its terms in depth order.
     """
-    both = ad.concat(left, right)                               # (D, 2n)
-    width = both.shape[1]
-    flat = np.arange(both.shape[0])[:, None, None] * width + _path_index(levels)
-    return ad.take(both, flat).sum(axis=1)
+    sums = np.concatenate([left[:, :1], right[:, :1]], axis=1)
+    for depth in range(1, levels):
+        level = slice((1 << depth) - 1, (2 << depth) - 1)
+        below = np.empty((sums.shape[0], 2 * sums.shape[1]))
+        np.add(sums, left[:, level], out=below[:, 0::2])
+        np.add(sums, right[:, level], out=below[:, 1::2])
+        sums = below
+    return sums
+
+
+def _sum_up(leaf_values, levels):
+    """Per-node left/right subtree sums, two (D, n) arrays, of (D, K) leaf values.
+
+    A level's left and right sums are the even and odd entries of the level
+    below, whose pairwise sums it passes up; the dtype is kept.
+    """
+    dims, n = leaf_values.shape[0], (1 << levels) - 1
+    left = np.empty((dims, n), dtype=leaf_values.dtype)
+    right = np.empty_like(left)
+    for depth in reversed(range(levels)):
+        level = slice((1 << depth) - 1, (2 << depth) - 1)
+        left[:, level], right[:, level] = leaf_values[:, 0::2], leaf_values[:, 1::2]
+        leaf_values = left[:, level] + right[:, level]
+    return left, right
+
+
+def _count_leaves(flat_leaf, weights, dims, n_leaves):
+    """(D, K) totals over (N, D) flat leaf indices leaf + d K of 1, or of each point's weight."""
+    if weights is not None:
+        weights = np.repeat(weights, dims)
+    counts = np.bincount(flat_leaf.reshape(-1), weights, minlength=dims * n_leaves)
+    return counts.reshape(dims, n_leaves)
+
+
+def _mean_log_ys(alpha_left, alpha_right):
+    """(ln Y, ln(1-Y)) at the posterior mean Y = alpha_left / (alpha_left + alpha_right).
+
+    An alpha that underflowed to 0 raises `ad.log`'s domain error; callers
+    check the results for finiteness.
+    """
+    if (alpha_left <= 0.0).any() or (alpha_right <= 0.0).any():
+        raise ad.NumericError("log requires strictly positive input")
+    with np.errstate(all="ignore"):
+        log_total = np.log(alpha_left + alpha_right)
+        return np.log(alpha_left) - log_total, np.log(alpha_right) - log_total
 
 
 def check_unit_cube(x):
@@ -306,42 +334,66 @@ class PolyaTreeModel:
 
     # -- densities on the tape -------------------------------------------
 
-    def _node_log_ys_vars(self, tape, pvars, y_mode, rng):
-        """(ln Y, ln(1-Y)) as (D, n) Vars; posterior-mean mode differentiates."""
+    def _sampled_log_ys(self, y_mode, rng):
+        """(ln Y, ln(1-Y)) of one Beta draw in sampled mode; None in posterior-mean mode."""
         if y_mode == "posterior-mean":
-            al = ad.softplus(pvars["raw_left"])
-            ar = ad.softplus(pvars["raw_right"])
-            log_total = ad.log(al + ar)
-            return ad.log(al) - log_total, ad.log(ar) - log_total
+            return None
         if y_mode == "sampled":
             if rng is None:
                 raise ValueError("sampled mode needs an rng")
             y = self.sample_branch_probabilities(rng)
-            return tape.leaf(np.log(y)), tape.leaf(np.log1p(-y))
+            return np.log(y), np.log1p(-y)
         raise ValueError(f"unknown y_mode: {y_mode}")
 
-    def _log_nu_vars(self, tape, pvars):
-        """(D, K) log leaf lengths: a constant array for dyadic trees, else a Var."""
+    def _leaf_table(self, tape, pvars, log_ys=None):
+        """(D, K) Var of leaf log densities, recorded as one node.
+
+        Its value is `_sum_down` of (ln Y, ln(1-Y)) minus that of the log split
+        proportions; `log_ys` is a sampled-mode draw, or None for the posterior
+        mean, whose raw alphas are then parents.  The vjp sums g up the tree
+        into per-node cL, cR: d/d raw_left = (cL/al - (cL+cR)/(al+ar))
+        sigmoid(raw_left), likewise raw_right, and d/d s = cR sigmoid(s) -
+        cL sigmoid(-s) per node (summed per level for per-level splits).
+        """
+        levels = self.levels
+        per_level = self.partition_mode == "per-level"
+        parents, mean, split = [], None, None
+        if log_ys is None:
+            parents += [pvars["raw_left"].index, pvars["raw_right"].index]
+            raw_l, raw_r = pvars["raw_left"].value, pvars["raw_right"].value
+            al, ar = special.softplus(raw_l), special.softplus(raw_r)
+            mean = (raw_l, raw_r, al, ar)
+            log_ys = _mean_log_ys(al, ar)
+        table = _sum_down(*log_ys, levels)
         if self.partition_mode == "dyadic":
-            return np.full((self.dims, self.n_leaves), -self.levels * np.log(2.0))
-        split = pvars["split_raw"]
-        if self.partition_mode == "per-level":
-            per_node = np.arange(self.dims)[:, None] * self.levels + _level_of_node(self.levels)
-            split = ad.take(split, per_node)                    # (D, n)
-        return _path_sums(ad.log_sigmoid(split), ad.log_sigmoid(-split), self.levels)
+            table -= -levels * np.log(2.0)
+        else:
+            parents.append(pvars["split_raw"].index)
+            split = pvars["split_raw"].value
+            if per_level:
+                split = split[:, _level_of_node(levels)]
+            table -= _sum_down(special.log_sigmoid(split), special.log_sigmoid(-split), levels)
 
-    def _leaf_log_masses_vars(self, tape, pvars, y_mode="posterior-mean", rng=None):
-        """(D, K) Var: log probability of each leaf (sampled mode draws Y first)."""
-        return _path_sums(*self._node_log_ys_vars(tape, pvars, y_mode, rng), self.levels)
+        def vjp(g):
+            cl, cr = _sum_up(g, levels)
+            grads = []
+            if mean is not None:
+                raw_l, raw_r, al, ar = mean
+                both = (cl + cr) / (al + ar)
+                grads += [(cl / al - both) * special.sigmoid(raw_l),
+                          (cr / ar - both) * special.sigmoid(raw_r)]
+            if split is not None:
+                grad = cr * special.sigmoid(split) - cl * special.sigmoid(-split)
+                if per_level:
+                    grad = np.add.reduceat(grad, (1 << np.arange(levels)) - 1, axis=1)
+                grads.append(grad)
+            return grads
 
-    def _leaf_log_densities(self, tape, pvars, log_ys):
-        """(D, K) Var of leaf log densities from the node pair (ln Y, ln(1-Y))."""
-        return _path_sums(*log_ys, self.levels) - self._log_nu_vars(tape, pvars)
+        return tape.record(table, tuple(parents), vjp)
 
     def leaf_log_densities_vars(self, tape, pvars, y_mode="posterior-mean", rng=None):
         """(D, K) Var: log density of each leaf cell (mass minus log length)."""
-        log_ys = self._node_log_ys_vars(tape, pvars, y_mode, rng)
-        return self._leaf_log_densities(tape, pvars, log_ys)
+        return self._leaf_table(tape, pvars, self._sampled_log_ys(y_mode, rng))
 
     def log_density_vars(self, tape, pvars, x, y_mode="posterior-mean", rng=None,
                          smooth=False):
@@ -352,20 +404,24 @@ class PolyaTreeModel:
         gradient by interpolating leaf log densities between leaf centers.
         """
         leaf = self.route(x.value if isinstance(x, ad.Var) else x)
-        g = self.leaf_log_densities_vars(tape, pvars, y_mode, rng)
-        return self._read_leaves(g, x, leaf, smooth)
+        table = self.leaf_log_densities_vars(tape, pvars, y_mode, rng)
+        return self._read_leaves(table, x, leaf, smooth)
 
-    def _read_leaves(self, g, x, leaf, smooth):
-        """(N,) Var: the (D, K) leaf log densities `g` looked up at points routed to `leaf`.
+    def _read_leaves(self, table, x, leaf, smooth):
+        """(N,) Var: the (D, K) leaf log densities `table` looked up at points routed to `leaf`.
 
-        `leaf` is a fresh `route` result owned by the caller, and the
-        non-smooth lookup offsets it in place into flat indices of `g`
-        rather than holding a second (N, D) index array.
+        `leaf` is a fresh `route` result owned by the caller.  The
+        non-smooth lookup is one node: it offsets `leaf` in place into flat
+        indices of the table (no second (N, D) index array), sums each
+        row's D entries, and its vjp is one weighted bincount of g.
         """
         K = self.n_leaves
         if not smooth:
-            leaf += np.arange(self.dims) * K
-            return ad.take(g, leaf).sum(axis=1)
+            dims = self.dims
+            leaf += np.arange(dims) * K
+            value = table.value.reshape(-1)[leaf].sum(axis=1)
+            return table.tape.record(value, (table.index,),
+                                     lambda g: (_count_leaves(leaf, g, dims, K),))
 
         x_values = np.asarray(x.value if isinstance(x, ad.Var) else x,
                               dtype=np.float64).reshape(leaf.shape)
@@ -380,8 +436,8 @@ class PolyaTreeModel:
         c_hi = centers[d_idx, hi_leaf]
         gap = c_hi - c_lo
         inv_gap = np.where(gap > 0.0, 1.0 / np.where(gap > 0.0, gap, 1.0), 0.0)
-        g_lo = ad.take(g, d_idx * K + lo_leaf)
-        g_hi = ad.take(g, d_idx * K + hi_leaf)
+        g_lo = ad.take(table, d_idx * K + lo_leaf)
+        g_hi = ad.take(table, d_idx * K + hi_leaf)
         if isinstance(x, ad.Var):
             w = (x - c_lo) * inv_gap
         else:
@@ -398,17 +454,23 @@ class PolyaTreeModel:
 
         The data term is the sum of per-point log densities; the prior
         term is sum over nodes of (alpha_l - 1) ln Y + (alpha_r - 1) ln(1 - Y).
-        With an empty batch only the prior term remains.
+        With an empty batch only the prior term remains.  In sampled mode
+        both terms use the same draw of Y.
         """
         leaf = self.route(x.value if isinstance(x, ad.Var) else x)
-        log_y, log_1y = self._node_log_ys_vars(tape, pvars, y_mode, rng)
+        draw = self._sampled_log_ys(y_mode, rng)
         al = ad.softplus(pvars["raw_left"])
         ar = ad.softplus(pvars["raw_right"])
+        if draw is None:
+            log_total = ad.log(al + ar)
+            log_y, log_1y = ad.log(al) - log_total, ad.log(ar) - log_total
+        else:
+            log_y, log_1y = draw
         prior = ((al - 1.0) * log_y + (ar - 1.0) * log_1y).sum()
         if leaf.shape[0] == 0:
             return prior
-        g = self._leaf_log_densities(tape, pvars, (log_y, log_1y))
-        return self._read_leaves(g, x, leaf, smooth=False).sum() + prior
+        table = self._leaf_table(tape, pvars, draw)
+        return self._read_leaves(table, x, leaf, smooth=False).sum() + prior
 
     def log_joint_posterior(self, x, y_mode="posterior-mean", rng=None):
         return float(ad.evaluate(self.log_joint_posterior_vars, self.parameter_arrays(),
@@ -416,24 +478,16 @@ class PolyaTreeModel:
 
     # -- conjugate updates, sampling, uncertainty -------------------------
 
-    def branch_counts(self, x):
-        """Left/right routing counts per node: two (D, n_nodes) int arrays.
+    def branch_counts(self, x, weights=None):
+        """Left/right routing counts per node: two (D, n_nodes) arrays.
 
-        One bincount gives the (D, K) leaf counts; each level's left and
-        right counts are then the even and odd entries of the level below,
-        and their pairwise sums are this level's counts, from the leaves up.
+        Each point counts 1 (int counts), or its entry of `weights`, an
+        (N,) array (float counts).  One bincount gives the (D, K) leaf
+        counts, and `_sum_up` sums them up the tree.
         """
         leaf = self.route(x)
         leaf += np.arange(self.dims) * self.n_leaves
-        counts = np.bincount(leaf.reshape(-1), minlength=self.dims * self.n_leaves)
-        counts = counts.reshape(self.dims, self.n_leaves)
-        left = np.empty((self.dims, self.n_nodes), dtype=counts.dtype)
-        right = np.empty_like(left)
-        for depth in reversed(range(self.levels)):
-            level = slice((1 << depth) - 1, (2 << depth) - 1)
-            left[:, level], right[:, level] = counts[:, 0::2], counts[:, 1::2]
-            counts = left[:, level] + right[:, level]
-        return left, right
+        return _sum_up(_count_leaves(leaf, weights, self.dims, self.n_leaves), self.levels)
 
     def conjugate_update(self, x, prior_alphas=1.0, count_scale=1.0):
         """Closed-form Beta-Binomial refresh: alpha = prior + scale * counts.
@@ -467,8 +521,9 @@ class PolyaTreeModel:
         leaves and a shuffle puts those leaf ids in random row order, so
         rows are iid and dimensions independent.
         """
-        log_mass = ad.evaluate(self._leaf_log_masses_vars, self.parameter_arrays(),
-                               y_mode, rng)
+        log_ys = self._sampled_log_ys(y_mode, rng)
+        log_mass = _sum_down(*(log_ys or _mean_log_ys(*self.alphas())), self.levels)
+        ad.check_finite(log_mass)
         bounds = self.leaf_boundaries()
         leaf_ids = np.arange(self.n_leaves)
         out = np.empty((n, self.dims))

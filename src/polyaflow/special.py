@@ -158,11 +158,10 @@ def inv_softplus(y):
     arr = np.asarray(y, dtype=np.float64)
     if arr.size and not np.all(arr > 0.0):
         raise ValueError("inv_softplus requires strictly positive arguments")
-    out = np.atleast_1d(arr.astype(np.float64, copy=True))
-    big = out > 30.0
-    out[big] = out[big] + np.log1p(-np.exp(-out[big]))
-    out[~big] = np.log(np.expm1(out[~big]))
-    out = out.reshape(arr.shape)
+    # each branch sees its own side of 30 only, so neither can overflow
+    hi = np.maximum(arr, 30.0)
+    lo = np.minimum(arr, 30.0)
+    out = np.where(arr > 30.0, hi + np.log1p(-np.exp(-hi)), np.log(np.expm1(lo)))
     return float(out) if np.ndim(y) == 0 else out
 
 

@@ -717,3 +717,206 @@ class TestGradients:
             lo = model.log_density(np.array([[boundary - eps]]), smooth=True)
             hi = model.log_density(np.array([[boundary + eps]]), smooth=True)
             assert abs(lo - hi) < 1e-6
+
+
+# -- the 14-node composite the tree's two tape nodes replaced, kept as their oracle
+
+def composite_path_index(levels):
+    """(levels, K) breadth-first node of each leaf per depth, plus n on a right branch."""
+    leaves = np.arange(1 << levels)
+    depth = np.arange(levels)[:, None]
+    node = (1 << depth) - 1 + (leaves >> (levels - depth))
+    right = (leaves >> (levels - depth - 1)) & 1
+    return node + ((1 << levels) - 1) * right
+
+
+def composite_path_sums(left, right, levels):
+    both = ad.concat(left, right)                               # (D, 2n)
+    width = both.shape[1]
+    flat = np.arange(both.shape[0])[:, None, None] * width + composite_path_index(levels)
+    return ad.take(both, flat).sum(axis=1)
+
+
+def composite_leaf_table(model, tape, pvars, y_mode, rng):
+    """((D, K) leaf log densities, (ln Y, ln(1-Y))) as primitive nodes."""
+    if y_mode == "posterior-mean":
+        al = ad.softplus(pvars["raw_left"])
+        ar = ad.softplus(pvars["raw_right"])
+        log_total = ad.log(al + ar)
+        log_ys = ad.log(al) - log_total, ad.log(ar) - log_total
+    else:
+        y = model.sample_branch_probabilities(rng)
+        log_ys = tape.leaf(np.log(y)), tape.leaf(np.log1p(-y))
+    mass = composite_path_sums(*log_ys, model.levels)
+    if model.partition_mode == "dyadic":
+        log_nu = np.full((model.dims, model.n_leaves), -model.levels * np.log(2.0))
+    else:
+        split = pvars["split_raw"]
+        if model.partition_mode == "per-level":
+            per_node = (np.arange(model.dims)[:, None] * model.levels
+                        + np.repeat(np.arange(model.levels), 1 << np.arange(model.levels)))
+            split = ad.take(split, per_node)
+        log_nu = composite_path_sums(ad.log_sigmoid(split), ad.log_sigmoid(-split),
+                                     model.levels)
+    return mass - log_nu, log_ys
+
+
+def composite_log_density(model, tape, pvars, x, y_mode="posterior-mean", rng=None,
+                          smooth=False):
+    leaf = model.route(x.value if isinstance(x, ad.Var) else x)
+    table, _ = composite_leaf_table(model, tape, pvars, y_mode, rng)
+    if smooth:
+        return model._read_leaves(table, x, leaf, smooth=True)
+    return ad.take(table, leaf + np.arange(model.dims) * model.n_leaves).sum(axis=1)
+
+
+def composite_log_joint_posterior(model, tape, pvars, x, y_mode="posterior-mean", rng=None):
+    leaf = model.route(x.value if isinstance(x, ad.Var) else x)
+    table, (log_y, log_1y) = composite_leaf_table(model, tape, pvars, y_mode, rng)
+    al = ad.softplus(pvars["raw_left"])
+    ar = ad.softplus(pvars["raw_right"])
+    prior = ((al - 1.0) * log_y + (ar - 1.0) * log_1y).sum()
+    if leaf.shape[0] == 0:
+        return prior
+    flat = leaf + np.arange(model.dims) * model.n_leaves
+    return ad.take(table, flat).sum(axis=1).sum() + prior
+
+
+def tree_on_tape(fn, model, x, weights, tape_cls=ad.Tape):
+    """(value, parameter gradients, point gradient, nodes recorded) of one tree call."""
+    tape = tape_cls()
+    pvars = {k: tape.leaf(v) for k, v in model.parameter_arrays().items()}
+    xv = tape.leaf(x)
+    before = len(tape)
+    out = fn(tape, pvars, xv)
+    nodes = len(tape) - before
+    if not tape.records:
+        return out.value, None, None, nodes
+    ad.backward((out * weights).sum() if out.shape else out)
+    return out.value, {k: v.grad for k, v in pvars.items()}, xv.grad, nodes
+
+
+def extreme_model(levels, dims, mode, rng, y_mode):
+    """A random tree; in posterior-mean mode some alphas sit near 1e-300 and at 1e6."""
+    model = random_model(rng, levels=levels, dims=dims, mode=mode)
+    if y_mode == "posterior-mean":
+        # (a Beta draw at alpha 1e-300 rounds Y to 0, so sampled mode keeps moderate alphas)
+        model.raw_left[:, 0] = special.inv_softplus(1e-300)
+        model.raw_right[:, -1] = special.inv_softplus(1e-299)
+        model.raw_left[:, -1] = 1e6
+        model.raw_right[:, model.n_nodes // 2] = 1e6
+    return model
+
+
+class TestTreeNodes:
+    """The tree density is two tape nodes, equal to the primitive composite it replaced."""
+
+    @pytest.mark.parametrize("mode", ["dyadic", "per-level", "per-node"])
+    @pytest.mark.parametrize("y_mode", ["posterior-mean", "sampled"])
+    def test_matches_composite(self, mode, y_mode):
+        for levels, dims, smooth, n in itertools.product([1, 3, 10], [1, 2, 8],
+                                                         [False, True], [0, 300]):
+            rng = np.random.default_rng(levels * 100 + dims * 10 + smooth)
+            model = extreme_model(levels, dims, mode, rng, y_mode)
+            x = rng.uniform(1e-9, 1.0, (n, dims))
+            weights = rng.uniform(0.5, 1.5, n)
+            calls = [(model.log_density_vars, composite_log_density,
+                      {"y_mode": y_mode, "smooth": smooth})]
+            if not smooth:
+                calls.append((model.log_joint_posterior_vars, composite_log_joint_posterior,
+                              {"y_mode": y_mode}))
+            for node, oracle, kwargs in calls:
+                got = tree_on_tape(
+                    lambda t, p, xv: node(t, p, xv, rng=np.random.default_rng(5), **kwargs),
+                    model, x, weights)
+                want = tree_on_tape(
+                    lambda t, p, xv: oracle(model, t, p, xv, rng=np.random.default_rng(5),
+                                            **kwargs),
+                    model, x, weights)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[2].tobytes() == want[2].tobytes()
+                for key, grad in got[1].items():
+                    ref = want[1][key]
+                    assert grad.shape == ref.shape
+                    np.testing.assert_allclose(grad, ref, rtol=1e-13,
+                                               atol=1e-13 * np.abs(ref).max(), err_msg=key)
+
+    @pytest.mark.parametrize("mode", ["dyadic", "per-level", "per-node"])
+    def test_eval_tape_values_match_composite(self, mode):
+        rng = np.random.default_rng(3)
+        model = extreme_model(10, 8, mode, rng, "posterior-mean")
+        x = rng.uniform(1e-9, 1.0, (500, 8))
+        got = tree_on_tape(model.log_density_vars, model, x, None, ad.EvalTape)
+        want = tree_on_tape(lambda t, p, xv: composite_log_density(model, t, p, xv),
+                            model, x, None, ad.EvalTape)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[0].tobytes() == model.log_density(x).tobytes()
+
+    @pytest.mark.parametrize("mode", ["dyadic", "per-level", "per-node"])
+    def test_two_nodes_per_density(self, mode):
+        model = random_model(np.random.default_rng(1), levels=3, dims=2, mode=mode)
+        x = np.random.default_rng(2).uniform(1e-9, 1.0, (50, 2))
+        for y_mode in ["posterior-mean", "sampled"]:
+            run = tree_on_tape(
+                lambda t, p, xv: model.log_density_vars(t, p, xv, y_mode=y_mode,
+                                                        rng=np.random.default_rng(0)),
+                model, x, np.ones(50))
+            assert run[3] == 2
+        oracle = tree_on_tape(lambda t, p, xv: composite_log_density(model, t, p, xv),
+                              model, x, np.ones(50))
+        assert oracle[3] == {"dyadic": 14, "per-node": 20, "per-level": 21}[mode]
+
+    @pytest.mark.parametrize("tape_cls", [ad.Tape, ad.EvalTape])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e4, 1.7e308])
+    def test_non_finite_parameters_raise_on_both_tapes(self, tape_cls, bad):
+        # -1e4 rounds alpha to 0 (ln 0); 1.7e308 on both sides overflows alpha_l + alpha_r
+        model = random_model(np.random.default_rng(4), levels=3, dims=2, mode="per-node")
+        model.raw_left[1, 2] = bad
+        model.raw_right[1, 2] = bad if bad > 0 else 1.0
+        x = np.random.default_rng(5).uniform(1e-9, 1.0, (20, 2))
+        messages = []
+        for fn in (model.log_density_vars,
+                   lambda t, p, xv: composite_log_density(model, t, p, xv)):
+            with np.errstate(over="ignore"), pytest.raises(ad.NumericError) as err:
+                tree_on_tape(fn, model, x, np.ones(20), tape_cls)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+class TestWeightedCounts:
+    @pytest.mark.parametrize("mode", ["dyadic", "per-level", "per-node"])
+    def test_unit_weights_give_the_counts_as_floats(self, mode):
+        model = random_model(np.random.default_rng(11), levels=4, dims=3, mode=mode)
+        x = np.random.default_rng(12).uniform(1e-9, 1.0, (500, 3))
+        cl, cr = model.branch_counts(x)
+        assert cl.dtype == cr.dtype == np.int64
+        want_l, want_r = descent_counts(model, x)
+        np.testing.assert_array_equal(cl, want_l)
+        np.testing.assert_array_equal(cr, want_r)
+        wl, wr = model.branch_counts(x, weights=np.ones(500))
+        assert wl.dtype == wr.dtype == np.float64
+        np.testing.assert_array_equal(wl, cl.astype(np.float64))
+        np.testing.assert_array_equal(wr, cr.astype(np.float64))
+
+    @pytest.mark.parametrize("mode", ["dyadic", "per-level", "per-node"])
+    def test_random_weights_match_per_node_sums(self, mode):
+        rng = np.random.default_rng(13)
+        model = random_model(rng, levels=3, dims=2, mode=mode)
+        x = rng.uniform(1e-9, 1.0, (200, 2))
+        w = rng.uniform(-2.0, 3.0, 200)
+        want = np.zeros((2, model.dims, model.n_nodes))
+        for i, pt in enumerate(x):
+            for d in range(model.dims):
+                path, _, _ = descent(model, d, pt[d])
+                prefix = 0
+                for j, bit in enumerate(path):
+                    want[bit, d, (1 << j) - 1 + prefix] += w[i]
+                    prefix = 2 * prefix + bit
+        wl, wr = model.branch_counts(x, weights=w)
+        np.testing.assert_allclose(wl, want[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(wr, want[1], rtol=1e-12, atol=1e-12)
+
+    def test_weights_must_match_points(self):
+        model = PolyaTreeModel.uniform(2, 2)
+        with pytest.raises(ValueError):
+            model.branch_counts(np.full((4, 2), 0.5), weights=np.ones(3))

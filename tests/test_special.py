@@ -1,5 +1,7 @@
 """Special-function accuracy against high-precision and quadrature oracles."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -113,6 +115,17 @@ class TestLogBeta:
         np.testing.assert_allclose(special.log_beta(a, b), special.log_beta(b, a), atol=1e-11)
 
 
+def masked_inv_softplus(y):
+    """inv_softplus as boolean-mask scatters: the formula the one-pass version must match."""
+    arr = np.asarray(y, dtype=np.float64)
+    out = np.atleast_1d(arr.astype(np.float64, copy=True))
+    big = out > 30.0
+    out[big] = out[big] + np.log1p(-np.exp(-out[big]))
+    out[~big] = np.log(np.expm1(out[~big]))
+    out = out.reshape(arr.shape)
+    return float(out) if np.ndim(y) == 0 else out
+
+
 class TestSoftplusFamily:
     def test_softplus_values(self):
         assert special.softplus(0.0) == pytest.approx(np.log(2.0), abs=1e-15)
@@ -123,6 +136,30 @@ class TestSoftplusFamily:
         y = np.array([1e-8, 0.1, 1.0, 20.0, 35.0, 800.0])
         np.testing.assert_allclose(special.softplus(special.inv_softplus(y)), y, rtol=1e-12)
         assert special.inv_softplus(special.softplus(3.7)) == pytest.approx(3.7, abs=1e-12)
+
+    def test_inv_softplus_bitwise_equals_masked_formula(self):
+        rng = np.random.default_rng(23)
+        at_30 = [30.0, np.nextafter(30.0, 0.0), np.nextafter(30.0, 60.0)]
+        y = np.concatenate([np.exp(rng.uniform(-700.0, 700.0, 200_000)), at_30,
+                            [5e-324, 1e-310, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = special.inv_softplus(y)
+        assert got.tobytes() == masked_inv_softplus(y).tobytes()
+        for value in [*at_30, 5e-324, 1.7e308, 2.5]:
+            got = special.inv_softplus(value)
+            assert type(got) is float and got == masked_inv_softplus(value)
+            assert special.inv_softplus(np.array(value)) == got
+        got = special.inv_softplus([[0.5, 31.0]])
+        assert got.shape == (1, 2)
+        assert got.tobytes() == masked_inv_softplus(np.array([[0.5, 31.0]])).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, -np.inf])
+    def test_inv_softplus_rejects_non_positive(self, bad):
+        with pytest.raises(ValueError, match="strictly positive"):
+            special.inv_softplus(np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            special.inv_softplus(bad)
 
     def test_sigmoid_tails(self):
         assert special.sigmoid(0.0) == pytest.approx(0.5)

@@ -283,7 +283,7 @@ class TestTrainLoop:
 
 
 class TestTapeSize:
-    def test_criterion_07_loss_records_at_most_34_nodes(self):
+    def test_criterion_07_loss_records_at_most_22_nodes(self):
         # vpt L=3 under one (50, 50) relu coupling, scaling and the sigmoid squash
         cfg = TrainConfig(prior="vpt", levels=3, flow_layers=1, hidden=(50, 50),
                           activation="relu", batch_size=256)
@@ -292,7 +292,7 @@ class TestTapeSize:
         tape = Tape()
         pvars = {k: tape.leaf(v) for k, v in est.parameter_arrays().items()}
         loss = -est.log_likelihood_vars(tape, pvars, xb).mean()
-        assert len(tape) <= 34
+        assert len(tape) <= 22                    # the tree density is 2 of them
         assert np.isfinite(loss.value)
 
 
@@ -302,6 +302,7 @@ class TestTapeLifetime:
         {"smooth_base": True, "partition_mode": "per-node", "kl_weight": 1.0},
         {"conjugate": True, "polyak": True},
         {"prior": "histogram", "bins": 16},
+        {"partition_mode": "per-level", "y_mode": "sampled"},
     ])
     def test_step_tapes_are_freed_without_the_collector(self, monkeypatch, overrides):
         # a callback that captures a Var closes a tape -> callback -> Var -> tape
@@ -314,6 +315,15 @@ class TestTapeLifetime:
                 refs.append(weakref.ref(self))
 
         monkeypatch.setattr(ad, "Tape", WatchedTape)
+        overrides = dict(overrides)
+        if overrides.pop("y_mode", None) == "sampled":
+            # each step scores the batch under one Beta draw of the tree's branch probabilities
+            score = DensityEstimator.log_likelihood_vars
+            draws = np.random.default_rng(2)
+            monkeypatch.setattr(
+                DensityEstimator, "log_likelihood_vars",
+                lambda self, tape, pvars, x: score(self, tape, pvars, x, y_mode="sampled",
+                                                   rng=draws))
         cfg = TrainConfig(**{"prior": "vpt", "levels": 3, "hidden": (50, 50),
                              "activation": "relu", "epochs": 1, **overrides})
         ds = synth("checkerboard", 1000, np.random.default_rng(1))
