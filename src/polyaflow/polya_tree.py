@@ -16,8 +16,8 @@ Two level-by-level sums carry everything between nodes and leaves.
 `_sum_down` adds per-node values top-down into (D, K) per-leaf path
 sums: leaf log masses (ln Y or ln(1-Y) per node) and log leaf lengths
 (ln beta or ln(1-beta)).  `_sum_up` adds (D, K) leaf values bottom-up
-into per-node left/right subtree sums: branch counts (weighted or not)
-and the tree's gradients.  On a tape the tree density is two nodes: a
+into per-node left/right subtree sums: branch counts and the tree's
+gradients.  On a tape the tree density is two nodes: a
 (D, K) leaf table whose vjp is a `_sum_up` of its gradient followed by
 the Beta-Binomial closed forms (Lavine 1992), and a leaf read whose vjp
 is one weighted bincount.  Memory is O(N D + D K).
@@ -478,16 +478,15 @@ class PolyaTreeModel:
 
     # -- conjugate updates, sampling, uncertainty -------------------------
 
-    def branch_counts(self, x, weights=None):
-        """Left/right routing counts per node: two (D, n_nodes) arrays.
+    def branch_counts(self, x):
+        """Left/right routing counts per node: two (D, n_nodes) int arrays.
 
-        Each point counts 1 (int counts), or its entry of `weights`, an
-        (N,) array (float counts).  One bincount gives the (D, K) leaf
-        counts, and `_sum_up` sums them up the tree.
+        One bincount gives the (D, K) leaf counts, and `_sum_up` sums them
+        up the tree.
         """
         leaf = self.route(x)
         leaf += np.arange(self.dims) * self.n_leaves
-        return _sum_up(_count_leaves(leaf, weights, self.dims, self.n_leaves), self.levels)
+        return _sum_up(_count_leaves(leaf, None, self.dims, self.n_leaves), self.levels)
 
     def conjugate_update(self, x, prior_alphas=1.0, count_scale=1.0):
         """Closed-form Beta-Binomial refresh: alpha = prior + scale * counts.

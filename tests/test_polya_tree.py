@@ -883,9 +883,9 @@ class TestTreeNodes:
         assert messages[0] == messages[1]
 
 
-class TestWeightedCounts:
+class TestBranchCountDtype:
     @pytest.mark.parametrize("mode", ["dyadic", "per-level", "per-node"])
-    def test_unit_weights_give_the_counts_as_floats(self, mode):
+    def test_counts_are_int64_and_match_descent(self, mode):
         model = random_model(np.random.default_rng(11), levels=4, dims=3, mode=mode)
         x = np.random.default_rng(12).uniform(1e-9, 1.0, (500, 3))
         cl, cr = model.branch_counts(x)
@@ -893,30 +893,3 @@ class TestWeightedCounts:
         want_l, want_r = descent_counts(model, x)
         np.testing.assert_array_equal(cl, want_l)
         np.testing.assert_array_equal(cr, want_r)
-        wl, wr = model.branch_counts(x, weights=np.ones(500))
-        assert wl.dtype == wr.dtype == np.float64
-        np.testing.assert_array_equal(wl, cl.astype(np.float64))
-        np.testing.assert_array_equal(wr, cr.astype(np.float64))
-
-    @pytest.mark.parametrize("mode", ["dyadic", "per-level", "per-node"])
-    def test_random_weights_match_per_node_sums(self, mode):
-        rng = np.random.default_rng(13)
-        model = random_model(rng, levels=3, dims=2, mode=mode)
-        x = rng.uniform(1e-9, 1.0, (200, 2))
-        w = rng.uniform(-2.0, 3.0, 200)
-        want = np.zeros((2, model.dims, model.n_nodes))
-        for i, pt in enumerate(x):
-            for d in range(model.dims):
-                path, _, _ = descent(model, d, pt[d])
-                prefix = 0
-                for j, bit in enumerate(path):
-                    want[bit, d, (1 << j) - 1 + prefix] += w[i]
-                    prefix = 2 * prefix + bit
-        wl, wr = model.branch_counts(x, weights=w)
-        np.testing.assert_allclose(wl, want[0], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(wr, want[1], rtol=1e-12, atol=1e-12)
-
-    def test_weights_must_match_points(self):
-        model = PolyaTreeModel.uniform(2, 2)
-        with pytest.raises(ValueError):
-            model.branch_counts(np.full((4, 2), 0.5), weights=np.ones(3))
