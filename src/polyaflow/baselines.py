@@ -7,6 +7,8 @@ matching the tree convention, so a point on an edge belongs to the cell
 to its left.  When used as the base of a sigmoid-terminated flow the unit
 cube is stretched onto the histogram's own support (0, total_width] with
 the corresponding log-Jacobian.
+On a tape it reads its (K, D) cell log-density table with the Pólya
+tree's helpers, `route_cells` and `read_cells`; it samples with `sample_cells`.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import special
-from .polya_tree import check_unit_cube
+from .polya_tree import check_unit_cube, read_cells, route_cells, sample_cells
 
 
 @dataclass
@@ -35,6 +37,11 @@ class LearnableHistogram:
         self.raw_logits = np.asarray(self.raw_logits, dtype=np.float64)
         if self.raw_widths.shape != expect or self.raw_logits.shape != expect:
             raise ValueError(f"histogram parameter arrays must have shape {expect}")
+        empty = np.argwhere(self.widths() == 0.0)
+        if empty.size:
+            k, d = empty[0]
+            raise ValueError(f"raw_widths[{k}][{d}] is {float(self.raw_widths[k, d])!r}: "
+                             "its cell width softplus(raw) underflows to 0")
 
     @classmethod
     def uniform(cls, bins, dims):
@@ -74,7 +81,9 @@ class LearnableHistogram:
         x = float(x)
         if not edges[0] < x <= edges[-1]:
             raise ValueError(f"x must lie in ({edges[0]}, {edges[-1]}]")
-        return int(np.searchsorted(edges, x, side="left")) - 1
+        cell = np.empty(1, dtype=np.int64)
+        route_cells(np.array([x]), edges, cell)
+        return int(cell[0])
 
     # -- densities ---------------------------------------------------------
 
@@ -96,21 +105,20 @@ class LearnableHistogram:
         shift = logits.value.max(axis=0)
         log_norm = ad.log(ad.exp(logits - shift).sum(axis=0)) + shift
         log_p = logits - log_norm                          # (K, D) log masses
+        table = (log_p - ad.log(widths)) + ad.log(totals)  # (K, D) cell log densities
 
         # stretch by the last cell edge, as `active_bin` and `sample` do: the
-        # summed `totals` can differ from it in the last bit
+        # summed `totals` can differ from it in the last bit.  z * edge lies in
+        # (0, edge] once floored above 0, so every cell found is in 0..K-1
         edges = np.zeros((self.bins + 1, self.dims))
         edges[1:] = np.cumsum(widths.value, axis=0)
-        scaled = z_values * edges[-1]
+        scaled = np.maximum(z_values * edges[-1], np.nextafter(0.0, 1.0))
         cells = np.empty(z_values.shape, dtype=np.int64)
         for d in range(self.dims):
-            col = np.clip(scaled[:, d], np.nextafter(0.0, 1.0), edges[-1, d])
-            cells[:, d] = np.searchsorted(edges[:, d], col, side="left") - 1
-        cells = np.clip(cells, 0, self.bins - 1)
-
-        flat = cells * self.dims + np.arange(self.dims)[None, :]
-        picked = ad.take(log_p, flat) - ad.log(ad.take(widths, flat))
-        return (picked + ad.log(totals)).sum(axis=1)
+            route_cells(scaled[:, d], edges[:, d], cells[:, d])
+        cells *= self.dims
+        cells += np.arange(self.dims)
+        return read_cells(table, cells)
 
     def log_density(self, z):
         """Numpy wrapper for the unit-cube density."""
@@ -119,18 +127,9 @@ class LearnableHistogram:
     # -- sampling ------------------------------------------------------------
 
     def sample(self, n, rng):
-        """Unit-cube draws: categorical cell per dimension, uniform inside."""
-        probs = self.probabilities()
+        """Unit-cube draws: `sample_cells` on the histogram's support, shrunk by its last edge."""
         edges = self.boundaries()
-        out = np.empty((n, self.dims))
-        for d in range(self.dims):
-            cum = np.cumsum(probs[:, d])
-            cum[-1] = 1.0
-            cells = np.searchsorted(cum, rng.random(n), side="left")
-            lo = edges[cells, d]
-            hi = edges[cells + 1, d]
-            out[:, d] = (hi - (hi - lo) * rng.random(n)) / edges[-1, d]
-        return out
+        return sample_cells(self.probabilities().T, edges.T, n, rng) / edges[-1]
 
 
 @dataclass

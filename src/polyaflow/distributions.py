@@ -106,16 +106,9 @@ class BetaDist:
 
 
 def beta_kl(p, q):
-    """KL(Beta(a,b) || Beta(c,d)) in closed form."""
-    a, b = p.alpha, p.beta
-    c, d = q.alpha, q.beta
-    psi_ab = special.digamma(a + b)
-    return (
-        special.log_beta(c, d)
-        - special.log_beta(a, b)
-        + (a - c) * (special.digamma(a) - psi_ab)
-        + (b - d) * (special.digamma(b) - psi_ab)
-    )
+    """KL(Beta(a,b) || Beta(c,d)) in closed form: `beta_kl_vars` evaluated."""
+    return float(ad.evaluate(lambda tape, v: beta_kl_vars(v["a"], v["b"], q.alpha, q.beta),
+                             {"a": p.alpha, "b": p.beta}))
 
 
 def beta_kl_vars(alpha_p, beta_p, alpha_q, beta_q):

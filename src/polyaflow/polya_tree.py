@@ -19,16 +19,16 @@ sums: leaf log masses (ln Y or ln(1-Y) per node) and log leaf lengths
 into per-node left/right subtree sums: branch counts and the tree's
 gradients.  On a tape the tree density is two nodes: a
 (D, K) leaf table whose vjp is a `_sum_up` of its gradient followed by
-the Beta-Binomial closed forms (Lavine 1992), and a leaf read whose vjp
-is one weighted bincount.  Memory is O(N D + D K).
+the Beta-Binomial closed forms (Lavine 1992), and a `read_cells` node
+whose vjp is one weighted bincount.  Memory is O(N D + D K).  The cell
+helpers `route_cells`, `read_cells` and `sample_cells` also serve the
+histogram of `baselines`.
 
 Split positions are computed in one place, `leaf_boundaries`.  Routing sends a point to the first leaf
 whose upper boundary is >= x, which is exactly the half-open cell a
-root-to-leaf descent reaches: learned partitions binary-search their
-boundaries per dimension, and dyadic trees compute ceil(x 2^L) - 1,
-which gives the same leaf bit for bit.  Sampling draws each dimension's
-leaves from the leaf masses the density uses, then a uniform position
-in the leaf's cell.
+root-to-leaf descent reaches: learned partitions use `route_cells`, and
+dyadic trees compute ceil(x 2^L) - 1, which gives the same leaf bit for
+bit.  Sampling reads the leaf masses the density uses.
 
 Parameters are stored as unconstrained floats: alphas through a softplus,
 split proportions through a sigmoid.
@@ -92,12 +92,34 @@ def _sum_up(leaf_values, levels):
     return left, right
 
 
-def _count_leaves(flat_leaf, weights, dims, n_leaves):
-    """(D, K) totals over (N, D) flat leaf indices leaf + d K of 1, or of each point's weight."""
-    if weights is not None:
-        weights = np.repeat(weights, dims)
-    counts = np.bincount(flat_leaf.reshape(-1), weights, minlength=dims * n_leaves)
-    return counts.reshape(dims, n_leaves)
+def route_cells(column, bounds, out):
+    """Write into `out` the cell k with bounds[k] < x <= bounds[k+1] of each x in `column`."""
+    out[...] = np.searchsorted(bounds, column, side="left")
+    out -= 1
+
+
+def read_cells(table, flat):
+    """(N,) Var: row sums of Var `table` at (N, D) flat indices; the vjp is one bincount."""
+    shape, size, dims = table.value.shape, table.value.size, flat.shape[1]
+    value = table.value.reshape(-1)[flat].sum(axis=1)
+    return table.tape.record(value, (table.index,), lambda g: (np.bincount(
+        flat.reshape(-1), np.repeat(g, dims), minlength=size).reshape(shape),))
+
+
+def sample_cells(mass, bounds, n, rng):
+    """(n, D) iid draws with independent dimensions, cells weighted by the (D, K) `mass`.
+
+    Per dimension one multinomial split of n, shuffled into row order; each
+    point is then uniform on its cell (bounds[d, k], bounds[d, k+1]].
+    """
+    cell_ids = np.arange(mass.shape[1])
+    out = np.empty((n, mass.shape[0]))
+    for d, row in enumerate(mass):
+        cell = np.repeat(cell_ids, rng.multinomial(n, row / row.sum()))
+        rng.shuffle(cell)
+        lo, hi = bounds[d, cell], bounds[d, cell + 1]
+        out[:, d] = hi - (hi - lo) * rng.random(n)
+    return out
 
 
 def _mean_log_ys(alpha_left, alpha_right):
@@ -296,8 +318,8 @@ class PolyaTreeModel:
 
         A point lands in the first leaf whose upper boundary is >= x, which
         is the half-open (lower, upper] cell a root-to-leaf descent reaches,
-        zero-width leaves included.  Learned partitions binary-search their
-        (K+1,) `bounds`.  Dyadic boundaries are exactly k / 2^L and x * 2^L
+        zero-width leaves included.  Learned partitions pass their (K+1,)
+        `bounds` to `route_cells`.  Dyadic boundaries are exactly k / 2^L and x * 2^L
         is exact (a power-of-two scaling), so there the leaf is
         ceil(x * 2^L) - 1, the binary search's answer bit for bit.
         """
@@ -306,8 +328,7 @@ class PolyaTreeModel:
             np.ceil(scaled, out=scaled)
             np.subtract(scaled, 1.0, out=out, casting="unsafe")
         else:
-            out[...] = np.searchsorted(bounds, column, side="left")
-            out -= 1
+            route_cells(column, bounds, out)
 
     def route(self, x):
         """Leaf index per point and dimension: (N, D) ints in [0, 2^L)."""
@@ -411,17 +432,13 @@ class PolyaTreeModel:
         """(N,) Var: the (D, K) leaf log densities `table` looked up at points routed to `leaf`.
 
         `leaf` is a fresh `route` result owned by the caller.  The
-        non-smooth lookup is one node: it offsets `leaf` in place into flat
-        indices of the table (no second (N, D) index array), sums each
-        row's D entries, and its vjp is one weighted bincount of g.
+        non-smooth lookup offsets it in place into flat indices of the table
+        (no second (N, D) index array) for `read_cells`.
         """
         K = self.n_leaves
         if not smooth:
-            dims = self.dims
-            leaf += np.arange(dims) * K
-            value = table.value.reshape(-1)[leaf].sum(axis=1)
-            return table.tape.record(value, (table.index,),
-                                     lambda g: (_count_leaves(leaf, g, dims, K),))
+            leaf += np.arange(self.dims) * K
+            return read_cells(table, leaf)
 
         x_values = np.asarray(x.value if isinstance(x, ad.Var) else x,
                               dtype=np.float64).reshape(leaf.shape)
@@ -486,7 +503,8 @@ class PolyaTreeModel:
         """
         leaf = self.route(x)
         leaf += np.arange(self.dims) * self.n_leaves
-        return _sum_up(_count_leaves(leaf, None, self.dims, self.n_leaves), self.levels)
+        counts = np.bincount(leaf.reshape(-1), minlength=self.dims * self.n_leaves)
+        return _sum_up(counts.reshape(self.dims, self.n_leaves), self.levels)
 
     def conjugate_update(self, x, prior_alphas=1.0, count_scale=1.0):
         """Closed-form Beta-Binomial refresh: alpha = prior + scale * counts.
@@ -514,26 +532,11 @@ class PolyaTreeModel:
         return sample_beta(*self.alphas(), rng)
 
     def sample(self, n, rng, y_mode="posterior-mean"):
-        """Draw n points: leaves from the leaf masses, then uniform in the leaf.
-
-        Per dimension, one multinomial draw splits the n points over the K
-        leaves and a shuffle puts those leaf ids in random row order, so
-        rows are iid and dimensions independent.
-        """
+        """Draw n points with `sample_cells` from the leaf masses the density uses."""
         log_ys = self._sampled_log_ys(y_mode, rng)
         log_mass = _sum_down(*(log_ys or _mean_log_ys(*self.alphas())), self.levels)
         ad.check_finite(log_mass)
-        bounds = self.leaf_boundaries()
-        leaf_ids = np.arange(self.n_leaves)
-        out = np.empty((n, self.dims))
-        for d in range(self.dims):
-            mass = np.exp(log_mass[d])
-            leaf = np.repeat(leaf_ids, rng.multinomial(n, mass / mass.sum()))
-            rng.shuffle(leaf)
-            lo, hi = bounds[d, leaf], bounds[d, leaf + 1]
-            # uniform on the half-open cell (lo, hi]
-            out[:, d] = hi - (hi - lo) * rng.random(n)
-        return out
+        return sample_cells(np.exp(log_mass), self.leaf_boundaries(), n, rng)
 
     def variance_map(self, depth=None):
         """Per-dimension mean Beta variance over the deepest internal nodes.

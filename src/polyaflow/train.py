@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import special
 from .baselines import FixedPrior, LearnableHistogram
 from .distributions import beta_kl_vars
 from .flow import DensityEstimator, build_flow
@@ -271,15 +270,15 @@ def _step(estimator, optimizer, lr_of, xb, config, conjugate, n_train):
     if conjugate:
         updated = {k: v for k, v in params.items() if k.startswith("flow/")}
         optimizer.step(updated, grads, lr_of)
+        # blend * alpha + (1 - blend) * (1 + scale * counts), in alpha space
         base = estimator.base
-        z = estimator.latent(xb)
-        scale = n_train / xb.shape[0]
-        refreshed = base.conjugate_update(z, prior_alphas=1.0, count_scale=scale)
         blend = config.conjugate_blend
-        old_l, old_r = base.alphas()
-        new_l, new_r = refreshed.alphas()
-        base.raw_left[...] = special.inv_softplus(blend * old_l + (1.0 - blend) * new_l)
-        base.raw_right[...] = special.inv_softplus(blend * old_r + (1.0 - blend) * new_r)
+        refreshed = base.conjugate_update(
+            estimator.latent(xb),
+            prior_alphas=[blend * alpha + (1.0 - blend) for alpha in base.alphas()],
+            count_scale=(1.0 - blend) * n_train / xb.shape[0])
+        base.raw_left[...] = refreshed.raw_left
+        base.raw_right[...] = refreshed.raw_right
     else:
         optimizer.step(params, grads, lr_of)
     return float(loss.value), data_nll

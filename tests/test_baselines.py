@@ -149,6 +149,90 @@ class TestHistogramDensity:
         check_gradients(build, list(h.parameter_arrays().values()), tol=1e-4)
 
 
+def composite_log_density(h, tape, pvars, z):
+    """Oracle: the per-point composite the (K, D) cell table replaced.
+
+    Two `take`s per point and a per-point log, sub and add, with the
+    router's upper and final clips.
+    """
+    widths = ad.softplus(pvars["raw_widths"])
+    totals = widths.sum(axis=0)
+    logits = pvars["raw_logits"]
+    shift = logits.value.max(axis=0)
+    log_norm = ad.log(ad.exp(logits - shift).sum(axis=0)) + shift
+    log_p = logits - log_norm
+    edges = np.zeros((h.bins + 1, h.dims))
+    edges[1:] = np.cumsum(widths.value, axis=0)
+    scaled = z * edges[-1]
+    cells = np.empty(z.shape, dtype=np.int64)
+    for d in range(h.dims):
+        col = np.clip(scaled[:, d], np.nextafter(0.0, 1.0), edges[-1, d])
+        cells[:, d] = np.searchsorted(edges[:, d], col, side="left") - 1
+    cells = np.clip(cells, 0, h.bins - 1)
+    flat = cells * h.dims + np.arange(h.dims)[None, :]
+    picked = ad.take(log_p, flat) - ad.log(ad.take(widths, flat))
+    return (picked + ad.log(totals)).sum(axis=1)
+
+
+class TestHistogramTable:
+    """The table-and-read density against the per-point composite."""
+
+    @staticmethod
+    def _points(h, rng):
+        # random points, every edge and its neighbours, 1.0 and the smallest float
+        edges = h.boundaries()
+        on_edges = edges[1:] / edges[-1]
+        return np.clip(np.concatenate([
+            rng.uniform(0.0, 1.0, (200, h.dims)),
+            on_edges, np.nextafter(on_edges, 0.0), np.nextafter(on_edges, 2.0),
+            np.ones((1, h.dims)), np.full((1, h.dims), 5e-324),
+        ]), 5e-324, 1.0)
+
+    @staticmethod
+    def _run(fn, h, z, weights):
+        tape = ad.Tape()
+        pvars = {k: tape.leaf(v) for k, v in h.parameter_arrays().items()}
+        out = fn(tape, pvars, z)
+        ad.backward((out * weights).sum())
+        return out.value, pvars["raw_logits"].grad, pvars["raw_widths"].grad, len(tape)
+
+    @pytest.mark.parametrize("bins", [1, 3, 16])
+    @pytest.mark.parametrize("dims", [1, 2, 8])
+    def test_values_and_gradients_match_the_composite(self, bins, dims):
+        rng = np.random.default_rng(100 * bins + dims)
+        h = LearnableHistogram(bins, dims, rng.uniform(-3.0, 2.0, (bins, dims)),
+                               rng.uniform(-2.0, 2.0, (bins, dims)))
+        z = self._points(h, rng)
+        weights = rng.normal(size=z.shape[0])
+        value, logit_grad, width_grad, nodes = self._run(h.log_density_vars, h, z, weights)
+        oracle = self._run(lambda t, p, x: composite_log_density(h, t, p, x), h, z, weights)
+        np.testing.assert_array_equal(value, oracle[0])
+        np.testing.assert_array_equal(logit_grad, oracle[1])
+        # one (K, D) sum per cell instead of one term per point: rounding differs;
+        # the scale bounds the summed terms' magnitudes
+        scale = np.abs(weights).sum() / h.widths().min()
+        np.testing.assert_allclose(width_grad, oracle[2], rtol=1e-12, atol=1e-12 * scale)
+        assert nodes == oracle[3] - 2
+        np.testing.assert_array_equal(h.log_density(z), value)
+
+
+class TestZeroWidthCells:
+    """A width whose softplus underflows to 0 would leave a density of total mass < 1."""
+
+    def test_constructor_names_the_width(self):
+        h = LearnableHistogram.uniform(4, 1)
+        h.raw_widths[1, 0] = -800.0
+        with pytest.raises(ValueError, match=r"raw_widths\[1\]\[0\] is -800\.0"):
+            LearnableHistogram(4, 1, h.raw_widths, h.raw_logits)
+        LearnableHistogram(4, 1, np.full((4, 1), -740.0), h.raw_logits)   # subnormal, > 0
+
+    def test_tape_raises_numeric_error(self):
+        h = LearnableHistogram.uniform(4, 1)
+        h.raw_widths[1, 0] = -800.0                 # set after construction, as a step may
+        with pytest.raises(ad.NumericError, match="log requires strictly positive"):
+            h.log_density(np.array([[0.5]]))
+
+
 class TestHistogramSampling:
     def test_cell_frequencies(self):
         rng = np.random.default_rng(19)

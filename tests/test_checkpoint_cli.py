@@ -290,6 +290,18 @@ W0 = ("flow", "layers", 0, "weights", 0)
 class TestCheckpointValidation:
     """Malformed fields are rejected at load time with their path, not later."""
 
+    def test_zero_width_histogram_cell(self, tmp_path):
+        rng = np.random.default_rng(4)
+        est = DensityEstimator(build_flow(2, n_coupling=1, hidden=(5,), sigmoid=True, rng=rng),
+                               LearnableHistogram.uniform(4, 2))
+        path = tmp_path / "h.json"
+        save_checkpoint(path, est)
+        doc = json.loads(path.read_text())
+        doc["prior"]["raw_widths"][1][0] = -800.0      # softplus underflows to width 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"raw_widths\[1\]\[0\] is -800\.0"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda d: _set(d, W0 + (0, 3), float("nan")),
                      r"flow\.layers\[0\]\.weights\[0\]\[0\]\[3\]: non-finite value nan",

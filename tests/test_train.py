@@ -228,6 +228,16 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match=r"epoch 0, batch 0: log requires"):
             train(cfg, ds, estimator=est)
 
+    def test_zero_width_histogram_cell_reports_epoch_and_batch(self):
+        # width = softplus(-800) underflows to 0, so ln(width) fails on the tape
+        ds = synth("checkerboard", 200, np.random.default_rng(8))
+        cfg = TrainConfig(prior="histogram", bins=4, flow_layers=1, hidden=(4,), epochs=2,
+                          batch_size=64)
+        est = build_estimator(cfg, 2, np.random.default_rng(0))
+        est.base.raw_widths[1, 0] = -800.0
+        with pytest.raises(RuntimeError, match=r"epoch 0, batch 0: log requires"):
+            train(cfg, ds, estimator=est)
+
     def test_empty_train_split_rejected(self):
         ds = Dataset(points=np.zeros((4, 2)), train_idx=EMPTY,
                      val_idx=np.arange(4), test_idx=EMPTY)
@@ -293,6 +303,18 @@ class TestTapeSize:
         pvars = {k: tape.leaf(v) for k, v in est.parameter_arrays().items()}
         loss = -est.log_likelihood_vars(tape, pvars, xb).mean()
         assert len(tape) <= 22                    # the tree density is 2 of them
+        assert np.isfinite(loss.value)
+
+    def test_criterion_08_histogram_loss_records_at_most_33_nodes(self):
+        # histogram K=16: a (K, D) cell table read by one node, no per-point takes
+        cfg = TrainConfig(prior="histogram", levels=4, bins=16, flow_layers=1,
+                          hidden=(50, 50), activation="relu", batch_size=256)
+        est = build_estimator(cfg, 2, np.random.default_rng(0))
+        xb = synth("checkerboard", 256, np.random.default_rng(1)).points
+        tape = Tape()
+        pvars = {k: tape.leaf(v) for k, v in est.parameter_arrays().items()}
+        loss = -est.log_likelihood_vars(tape, pvars, xb).mean()
+        assert len(tape) <= 33
         assert np.isfinite(loss.value)
 
 
