@@ -13,7 +13,8 @@ import json
 import numpy as np
 
 from .baselines import FixedPrior, LearnableHistogram
-from .flow import CouplingLayer, DensityEstimator, FlowModel, ScalingLayer, SigmoidLayer
+from .flow import (ACTIVATIONS, CouplingLayer, DensityEstimator, FlowModel, ScalingLayer,
+                   SigmoidLayer)
 from .polya_tree import PolyaTreeModel
 from .train import TrainConfig
 
@@ -98,6 +99,11 @@ def _flow_restore(payload):
             mask = np.asarray(spec["mask"], dtype=bool)
             if mask.shape != (dims,):
                 raise ValueError(f"{path}.mask: expected shape {(dims,)}, got {mask.shape}")
+            if mask.all() or not mask.any():
+                raise ValueError(f"{path}.mask: must pass some and shift some coordinates")
+            if spec["activation"] not in ACTIVATIONS:
+                raise ValueError(f"{path}.activation: expected one of {ACTIVATIONS}, "
+                                 f"got {spec['activation']!r}")
             n_in = int(mask.sum())
             layers.append(CouplingLayer(
                 mask,
@@ -173,6 +179,19 @@ def _base_restore(payload, dims):
     raise ValueError(f"unknown prior kind {kind!r} in checkpoint")
 
 
+def _config_restore(config):
+    """The TrainConfig a checkpoint records; a malformed field raises ValueError naming it."""
+    if not isinstance(config, dict):
+        raise ValueError(f"config: expected an object, got {type(config).__name__}")
+    for key in config:
+        if key not in TrainConfig.__dataclass_fields__:
+            raise ValueError(f"config.{key}: unknown field")
+    hidden = config.get("hidden", [])
+    if not (isinstance(hidden, list) and all(isinstance(h, (int, float)) for h in hidden)):
+        raise ValueError(f"config.hidden: expected a list of widths, got {hidden!r}")
+    return TrainConfig(**config)
+
+
 def save_checkpoint(path, estimator, config=None, seed=None, standardization=None,
                     summary=None):
     """Write the full estimator state (and training context) as JSON."""
@@ -217,7 +236,7 @@ def load_checkpoint(path):
     )
     config = doc.get("config")
     if config is not None:
-        config = TrainConfig(**config)
+        config = _config_restore(config)
     standardization = doc.get("standardization")
     if standardization is not None:
         shape = (flow.dims,)

@@ -166,11 +166,9 @@ def cmd_train(args):
                                      "seconds": sec}) + "\n")
             fh.write(json.dumps({"best_epoch": report.best_epoch,
                                  "final": report.final}) + "\n")
-    n_prior = sum(v.size for v in estimator.base.parameter_arrays().values())
-    n_flow = sum(v.size for v in estimator.flow.parameter_arrays().values())
     print(f"checkpoint written to {args.out}")
-    print(f"prior parameters: {n_prior}")
-    print(f"flow parameters: {n_flow}")
+    print(f"prior parameters: {estimator.theta.size - estimator.n_flow}")
+    print(f"flow parameters: {estimator.n_flow}")
     print(f"best epoch: {report.best_epoch}")
     for key, value in sorted(report.final.items()):
         print(f"{key}: {value:.6f}")

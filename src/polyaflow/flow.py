@@ -59,6 +59,7 @@ from . import autodiff as ad
 
 _UNIT_EPS = 1e-6
 EVAL_ROWS = 4096      # rows per block of numpy-side flow evaluation
+ACTIVATIONS = ("tanh", "relu")
 
 
 def _row_blocks(n):
@@ -78,7 +79,7 @@ class CouplingLayer:
         self.mask = np.asarray(self.mask, dtype=bool)
         if not self.mask.any() or self.mask.all():
             raise ValueError("coupling mask must pass some and shift some coordinates")
-        if self.activation not in ("tanh", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation: {self.activation}")
 
     def net_apply(self, h, weights=None, hidden=None):
@@ -130,7 +131,7 @@ class FlowModel:
     layers: list = field(default_factory=list)
 
     def parameter_arrays(self):
-        """Trainable arrays keyed 'c{i}_W{j}' / 'c{i}_b{j}' / 's{i}_log_scale'."""
+        """Trainable arrays keyed 'c{i}_W{j}' / 'c{i}_b{j}' / 's{i}_log_scale', in layer order."""
         params = {}
         for i, layer in enumerate(self.layers):
             if isinstance(layer, CouplingLayer):
@@ -148,14 +149,13 @@ class FlowModel:
         """
         z = x if isinstance(x, ad.Var) else tape.leaf(np.asarray(x, dtype=np.float64))
         log_det = None                # no node until a layer changes volume
+        layer_vars = iter([pvars[k] for k in self.parameter_arrays()])
         for i, layer in enumerate(self.layers):
             try:
                 if isinstance(layer, CouplingLayer):
-                    weights = [pvars[f"c{i}_{'W' if j % 2 == 0 else 'b'}{j // 2}"]
-                               for j in range(len(layer.weights))]
-                    z = _couple(tape, layer, z, weights)
+                    z = _couple(tape, layer, z, [next(layer_vars) for _ in layer.weights])
                 elif isinstance(layer, ScalingLayer):
-                    ls = pvars[f"s{i}_log_scale"]
+                    ls = next(layer_vars)
                     z = z * ad.exp(ls)
                     term = ls.sum()
                     log_det = term if log_det is None else log_det + term
@@ -317,31 +317,47 @@ def build_flow(dims, n_coupling=1, hidden=(50, 50), activation="tanh",
 class DensityEstimator:
     """A flow transport composed with a base density.
 
-    The base must expose parameter_arrays() (names prefixed 'prior/'; flow
-    parameters are prefixed 'flow/'), log_density_vars(tape, pvars, z, ...)
-    and sample(n, rng, ...), which returns a fresh array.  Bases supported
+    The base must expose parameter_arrays(), keyed by the names of the
+    attributes that hold them (prefixed 'prior/' here; flow parameters are
+    prefixed 'flow/'), log_density_vars(tape, pvars, z, ...) and
+    sample(n, rng, ...), which returns a fresh array.  Bases supported
     on the unit cube should sit behind a flow whose last layer is the
     sigmoid squash; their inputs are clamped to [1e-6, 1 - 1e-6] before
     evaluation, and their samples before the inverse, in place.
+
+    An estimator takes over its flow and base: their arrays become views of
+    its one float64 vector `theta`, in parameter_arrays() order, so the
+    first `n_flow` entries are the flow's.  In-place writes to either show
+    in the other.
     """
 
     flow: FlowModel
     base: object
     smooth_base: bool = False
 
+    def __post_init__(self):
+        arrays = list(self.parameter_arrays().values())
+        self.theta = np.concatenate([np.ravel(v) for v in arrays] or [np.empty(0)])
+        parts = np.split(self.theta, np.cumsum([np.size(v) for v in arrays[:-1]], dtype=int))
+        views = iter([part.reshape(np.shape(v)) for part, v in zip(parts, arrays)])
+        self.n_flow = sum(np.size(v) for v in self.flow.parameter_arrays().values())
+        for layer in self.flow.layers:
+            if isinstance(layer, CouplingLayer):
+                layer.weights[:] = [next(views) for _ in layer.weights]
+            elif isinstance(layer, ScalingLayer):
+                layer.log_scale = next(views)
+        for key in self.base.parameter_arrays():
+            setattr(self.base, key, next(views))
+
     def parameter_arrays(self):
         params = {f"flow/{k}": v for k, v in self.flow.parameter_arrays().items()}
         params.update({f"prior/{k}": v for k, v in self.base.parameter_arrays().items()})
         return params
 
-    def _split_pvars(self, pvars):
-        flow_vars = {k[5:]: v for k, v in pvars.items() if k.startswith("flow/")}
-        base_vars = {k[6:]: v for k, v in pvars.items() if k.startswith("prior/")}
-        return flow_vars, base_vars
-
     def log_likelihood_vars(self, tape, pvars, x, **base_kwargs):
         """(N,) Var of log model density at data points x."""
-        flow_vars, base_vars = self._split_pvars(pvars)
+        flow_vars = {k[5:]: v for k, v in pvars.items() if k.startswith("flow/")}
+        base_vars = {k[6:]: v for k, v in pvars.items() if k.startswith("prior/")}
         z, log_det = self.flow.forward_vars(tape, flow_vars, x)
         if self.flow.has_sigmoid:
             z = ad.clip(z, _UNIT_EPS, 1.0 - _UNIT_EPS)

@@ -1,11 +1,11 @@
 """Training loop, Adam optimizer, and evaluation metrics.
 
 One optimization step records the whole loss on a fresh tape, runs the
-reverse sweep, and applies Adam in place to the live parameter arrays.
-Flow and base ("prior") parameters take separate learning rates, selected
-by key prefix.  With `conjugate=True` and a tree base, the tree's alphas
-are refreshed by the closed-form Beta-Binomial update (exponentially
-blended across batches) instead of gradient steps.
+reverse sweep, and applies Adam in place to the estimator's parameter
+vector `theta`: its first `n_flow` entries, the flow's, take `lr_flow`, and
+the base's ("prior") take `lr_prior`.  With `conjugate=True` and a tree
+base, Adam steps the flow's entries only and the tree's alphas are
+refreshed by the closed-form Beta-Binomial update, blended across batches.
 """
 
 import time
@@ -79,13 +79,7 @@ class TrainReport:
 
 
 class Adam:
-    """Adam with bias correction; updates the arrays of `params` in place.
-
-    The moments `m`, `v` and the per-element learning rates are flat
-    vectors over the parameters concatenated in key order, laid out on the
-    first step.  The rate vector is rebuilt only when a key's `lr_of`
-    changes, so one step is one vector update plus a write-back per key.
-    """
+    """Adam with bias correction on one flat parameter vector, whose size the first step fixes."""
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
@@ -94,38 +88,23 @@ class Adam:
         self.m = None
         self.v = None
         self.t = 0
-        self._keys = None
-        self._rates = None
-        self._lr = None
 
-    def step(self, params, grads, lr_of):
+    def step(self, theta, grad, lr):
+        """Update `theta` in place from `grad`; `lr` is a scalar or one rate per entry."""
         self.t += 1
-        keys = tuple(params)
-        if not keys:
-            return
         if self.m is None:
-            self._keys = keys
-            self.m = np.zeros(sum(p.size for p in params.values()))
+            self.m = np.zeros(theta.size)
             self.v = np.zeros_like(self.m)
-        elif keys != self._keys:
-            raise ValueError("Adam state was laid out for other parameters")
-        rates = tuple(lr_of(k) for k in keys)
-        if rates != self._rates:
-            self._rates = rates
-            self._lr = np.repeat(rates, [params[k].size for k in keys])
-        g = np.concatenate([grads[k].reshape(-1) for k in keys])
+        if theta.size != self.m.size or grad.size != self.m.size:
+            raise ValueError(f"Adam state is sized {self.m.size}, got {theta.size} and {grad.size}")
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
         m, v = self.m, self.v
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += (1.0 - self.beta1) * grad
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        update = self._lr * ((m / correct1) / (np.sqrt(v / correct2) + self.eps))
-        start = 0
-        for p in params.values():
-            p -= update[start:start + p.size].reshape(p.shape)
-            start += p.size
+        v += (1.0 - self.beta2) * (grad * grad)
+        theta -= lr * ((m / correct1) / (np.sqrt(v / correct2) + self.eps))
 
 
 def build_estimator(config, dims, rng):
@@ -150,15 +129,6 @@ def build_estimator(config, dims, rng):
     return DensityEstimator(flow, base, smooth_base=smooth)
 
 
-def _snapshot(params):
-    return {k: v.copy() for k, v in params.items()}
-
-
-def _load(params, saved):
-    for k, v in params.items():
-        v[...] = saved[k]
-
-
 def train(config, dataset, rng=None, estimator=None):
     """Fit an estimator on dataset.train, early-stopping on dataset.val.
 
@@ -180,19 +150,21 @@ def train(config, dataset, rng=None, estimator=None):
 
     conjugate = config.conjugate and isinstance(estimator.base, PolyaTreeModel)
     optimizer = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
+    theta, n_flow = estimator.theta, estimator.n_flow
+    if not all(np.may_share_memory(v, theta) for v in estimator.parameter_arrays().values()):
+        raise ValueError("the estimator's parameter arrays are not all views of its theta: "
+                         "an array was rebound, or another estimator took over its flow or base")
+    rates = np.repeat([config.lr_flow, config.lr_prior], [n_flow, theta.size - n_flow])
     lr_scale = 1.0
-
-    def lr_of(key):
-        base_lr = config.lr_flow if key.startswith("flow/") else config.lr_prior
-        return base_lr * lr_scale
+    lr = rates * lr_scale
 
     report = TrainReport()
     n_train = x_train.shape[0]
     best_val = np.inf
-    best_saved = _snapshot(estimator.parameter_arrays())
+    best_saved = theta.copy()
     since_best = 0
     since_decay = 0
-    ema = _snapshot(estimator.parameter_arrays()) if config.polyak else None
+    ema = theta.copy() if config.polyak else None
 
     for epoch in range(config.epochs):
         tic = time.perf_counter()
@@ -201,7 +173,7 @@ def train(config, dataset, rng=None, estimator=None):
         for b, start in enumerate(range(0, n_train, config.batch_size)):
             xb = x_train[perm[start:start + config.batch_size]]
             try:
-                loss, data_nll = _step(estimator, optimizer, lr_of, xb, config, conjugate,
+                loss, data_nll = _step(estimator, optimizer, lr, xb, config, conjugate,
                                        n_train)
             except FloatingPointError as err:
                 raise RuntimeError(
@@ -211,29 +183,24 @@ def train(config, dataset, rng=None, estimator=None):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, batch {b}")
             weighted_nll += data_nll * xb.shape[0]
             if ema is not None:
-                for k, v in estimator.parameter_arrays().items():
-                    ema[k] = config.polyak_decay * ema[k] + (1.0 - config.polyak_decay) * v
+                ema *= config.polyak_decay
+                ema += (1.0 - config.polyak_decay) * theta
         report.train_nll.append(weighted_nll / n_train)
 
-        if ema is not None:
-            current = _snapshot(estimator.parameter_arrays())
-            _load(estimator.parameter_arrays(), ema)
+        if ema is not None:                       # validate the average, keep training theta
+            current = theta.copy()
+            theta[...] = ema
         val_nll = (-avg_log_likelihood(estimator, x_val)
                    if x_val.shape[0] else report.train_nll[-1])
         if ema is not None:
-            deploy = _snapshot(estimator.parameter_arrays())
-            _load(estimator.parameter_arrays(), current)
-        else:
-            deploy = None
+            theta[...] = current
         report.val_nll.append(val_nll)
         report.epoch_seconds.append(time.perf_counter() - tic)
 
         if val_nll < best_val:
             best_val = val_nll
             report.best_epoch = epoch
-            best_saved = deploy if deploy is not None else _snapshot(
-                estimator.parameter_arrays()
-            )
+            best_saved = (theta if ema is None else ema).copy()
             since_best = 0
             since_decay = 0
         else:
@@ -241,11 +208,12 @@ def train(config, dataset, rng=None, estimator=None):
             since_decay += 1
             if config.lr_decay and since_decay >= config.lr_decay_patience:
                 lr_scale *= config.lr_decay_factor
+                lr = rates * lr_scale
                 since_decay = 0
             if since_best >= config.patience:
                 break
 
-    _load(estimator.parameter_arrays(), best_saved)
+    theta[...] = best_saved
     report.final = {"val_nll": best_val}
     if dataset.test.shape[0]:
         report.final["test_nll"] = -avg_log_likelihood(estimator, dataset.test)
@@ -253,11 +221,10 @@ def train(config, dataset, rng=None, estimator=None):
     return estimator, report
 
 
-def _step(estimator, optimizer, lr_of, xb, config, conjugate, n_train):
+def _step(estimator, optimizer, lr, xb, config, conjugate, n_train):
     """One gradient (and optionally conjugate) update; returns (loss, data NLL)."""
     tape = ad.Tape()
-    params = estimator.parameter_arrays()
-    pvars = {k: tape.leaf(v) for k, v in params.items()}
+    pvars = {k: tape.leaf(v) for k, v in estimator.parameter_arrays().items()}
     ll = estimator.log_likelihood_vars(tape, pvars, xb)
     loss = -ll.mean()
     data_nll = float(loss.value)
@@ -266,10 +233,10 @@ def _step(estimator, optimizer, lr_of, xb, config, conjugate, n_train):
         ar = ad.softplus(pvars["prior/raw_right"])
         loss = loss + config.kl_weight * beta_kl_vars(al, ar, 1.0, 1.0).sum()
     ad.backward(loss)
-    grads = {k: pvars[k].grad for k in params}
+    n_step = estimator.n_flow if conjugate else estimator.theta.size
+    grad = np.concatenate([v.grad.reshape(-1) for v in pvars.values()] or [np.empty(0)])
+    optimizer.step(estimator.theta[:n_step], grad[:n_step], lr[:n_step])
     if conjugate:
-        updated = {k: v for k, v in params.items() if k.startswith("flow/")}
-        optimizer.step(updated, grads, lr_of)
         # blend * alpha + (1 - blend) * (1 + scale * counts), in alpha space
         base = estimator.base
         blend = config.conjugate_blend
@@ -279,8 +246,6 @@ def _step(estimator, optimizer, lr_of, xb, config, conjugate, n_train):
             count_scale=(1.0 - blend) * n_train / xb.shape[0])
         base.raw_left[...] = refreshed.raw_left
         base.raw_right[...] = refreshed.raw_right
-    else:
-        optimizer.step(params, grads, lr_of)
     return float(loss.value), data_nll
 
 

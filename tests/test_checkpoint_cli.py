@@ -112,7 +112,8 @@ class TestCliWorkflow:
         model = _train_small(tmp_path)
         stdout = capsys.readouterr().out
         assert "checkpoint written to" in stdout
-        assert "prior parameters:" in stdout
+        # 2 dims x 3 nodes x 2 alphas; a (1, 8, 1) coupling net and 2 log scales
+        assert "prior parameters: 12\nflow parameters: 27\n" in stdout
 
         rc = main(["eval", "--data", "synthetic:eight_gaussians", "--n", "300",
                    "--seed", "5", "--model", model, "--metric", "both",
@@ -358,6 +359,19 @@ class TestCheckpointValidation:
                      r"standardization\.std\[1\]: expected > 0, got 0\.0", id="std-zero"),
         pytest.param(lambda d: _set(d, ("standardization", "std", 0), -2.0),
                      r"standardization\.std\[0\]: expected > 0, got -2\.0", id="std-negative"),
+        pytest.param(lambda d: _set(d, ("config",), [1, 2]),
+                     r"config: expected an object, got list", id="config-not-object"),
+        pytest.param(lambda d: _set(d, ("config",), {"levels": 3, "bogus": 1}),
+                     r"config\.bogus: unknown field", id="config-unknown-field"),
+        pytest.param(lambda d: _set(d, ("config",), {"hidden": 5}),
+                     r"config\.hidden: expected a list of widths, got 5", id="config-hidden-int"),
+        pytest.param(lambda d: _set(d, ("flow", "layers", 0, "activation"), "gelu"),
+                     r"flow\.layers\[0\]\.activation: expected one of \('tanh', 'relu'\), "
+                     r"got 'gelu'", id="unknown-activation"),
+        # checked before the weights, whose shapes the mask decides
+        pytest.param(lambda d: _set(d, ("flow", "layers", 0, "mask"), [True, True]),
+                     r"flow\.layers\[0\]\.mask: must pass some and shift some coordinates",
+                     id="mask-all-true"),
     ])
     def test_bad_field_named(self, tmp_path, edit, message):
         doc, path = _saved_doc(tmp_path)
@@ -384,6 +398,13 @@ class TestCheckpointValidation:
         path.write_text(json.dumps(doc))
         assert main(["sample", "--model", str(path), "--n", "5"]) == 1
         assert "flow.layers[0].weights[0][0][0]: non-finite" in capsys.readouterr().err
+
+    def test_cli_reports_a_bad_config_field(self, tmp_path, capsys):
+        doc, path = _saved_doc(tmp_path)
+        _set(doc, ("config",), {"bogus": 1})
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--model", str(path), "--n", "5"]) == 1
+        assert "error: config.bogus: unknown field" in capsys.readouterr().err
 
 
 class TestEvalSeedDefault:

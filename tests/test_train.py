@@ -9,10 +9,12 @@ import pytest
 from polyaflow import autodiff as ad
 from polyaflow.autodiff import Tape
 from polyaflow.baselines import FixedPrior, LearnableHistogram
+from polyaflow.checkpoint import load_checkpoint, save_checkpoint
 from polyaflow.data import Dataset, synth
 from polyaflow.flow import DensityEstimator, FlowModel, build_flow
 from polyaflow.polya_tree import PolyaTreeModel
 from polyaflow.train import (
+    PRIORS,
     Adam,
     TrainConfig,
     avg_log_likelihood,
@@ -54,17 +56,17 @@ class TestConfig:
 
 class TestAdam:
     def test_quadratic_convergence(self):
-        p = {"w": np.array([5.0, -4.0])}
+        w = np.array([5.0, -4.0])
         target = np.array([3.0, 1.5])
         opt = Adam()
         for _ in range(600):
-            opt.step(p, {"w": p["w"] - target}, lambda k: 0.1)
-        np.testing.assert_allclose(p["w"], target, atol=1e-3)
+            opt.step(w, w - target, 0.1)
+        np.testing.assert_allclose(w, target, atol=1e-3)
 
     def test_first_step_has_lr_magnitude(self):
-        p = {"w": np.array([0.0])}
-        Adam().step(p, {"w": np.array([1e-6])}, lambda k: 0.05)
-        assert abs(p["w"][0] + 0.05) < 1e-3
+        w = np.array([0.0])
+        Adam().step(w, np.array([1e-6]), 0.05)
+        assert abs(w[0] + 0.05) < 1e-3
 
 
 def _per_key_adam(beta1=0.9, beta2=0.999, eps=1e-8):
@@ -89,14 +91,20 @@ def _per_key_adam(beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 class TestFlatAdam:
+    """Adam on one vector, laid out and rated as `train` does, against per-key moments."""
+
     SHAPES = {"flow/c0_W0": (3, 4), "flow/c0_b0": (4,), "flow/s1_log_scale": (2,),
               "prior/raw_left": (2, 7), "prior/raw_right": (2, 7)}
 
-    def _run(self, keys, steps=50):
+    def _run(self, flow_only, steps=50):
         rng = np.random.default_rng(17)
-        start = {k: rng.standard_normal(self.SHAPES[k]) for k in keys}
-        flat = {k: v.copy() for k, v in start.items()}
-        ref = {k: v.copy() for k, v in start.items()}
+        start = {k: rng.standard_normal(shape) for k, shape in self.SHAPES.items()}
+        theta = np.concatenate([v.reshape(-1) for v in start.values()])
+        n_flow = sum(v.size for k, v in start.items() if k.startswith("flow/"))
+        n_step = n_flow if flow_only else theta.size
+        keys = [k for k in start if k.startswith("flow/") or not flow_only]
+        ref = {k: start[k].copy() for k in keys}
+        rates = np.repeat([0.01, 0.1], [n_flow, theta.size - n_flow])
         opt, ref_step = Adam(0.8, 0.99, 1e-7), _per_key_adam(0.8, 0.99, 1e-7)
         scale = [1.0]
 
@@ -108,29 +116,33 @@ class TestFlatAdam:
                 scale[0] *= 0.5
             grads = {k: rng.standard_normal(self.SHAPES[k]) * 10.0 ** rng.integers(-6, 2)
                      for k in keys}
-            opt.step(flat, grads, lr_of)
+            grad = np.concatenate([grads[k].reshape(-1) for k in keys])
+            opt.step(theta[:n_step], grad, (rates * scale[0])[:n_step])
             ref_step(ref, grads, lr_of)
-            for k in keys:
-                assert flat[k].tobytes() == ref[k].tobytes(), (t, k)
-        return opt
+            want = np.concatenate([ref[k].reshape(-1) for k in keys])
+            assert theta[:n_step].tobytes() == want.tobytes(), t
+        assert theta[n_step:].tobytes() == b"".join(start[k].tobytes() for k in start
+                                                    if k not in keys)
 
     def test_matches_per_key_reference_bitwise(self):
-        self._run(list(self.SHAPES))
+        self._run(flow_only=False)
 
     def test_flow_only_subset(self):
-        self._run([k for k in self.SHAPES if k.startswith("flow/")])
+        self._run(flow_only=True)
 
     def test_empty_parameter_set(self):
         opt = Adam()
-        opt.step({}, {}, lambda k: 0.1)
-        opt.step({}, {}, lambda k: 0.1)
+        opt.step(np.empty(0), np.empty(0), 0.1)
+        opt.step(np.empty(0), np.empty(0), 0.1)
         assert opt.t == 2
 
-    def test_other_keys_rejected(self):
+    def test_other_size_rejected(self):
         opt = Adam()
-        opt.step({"a": np.zeros(2)}, {"a": np.ones(2)}, lambda k: 0.1)
-        with pytest.raises(ValueError, match="other parameters"):
-            opt.step({"b": np.zeros(2)}, {"b": np.ones(2)}, lambda k: 0.1)
+        opt.step(np.zeros(2), np.ones(2), 0.1)
+        with pytest.raises(ValueError, match="sized 2, got 3 and 3"):
+            opt.step(np.zeros(3), np.ones(3), 0.1)
+        with pytest.raises(ValueError, match="sized 2, got 2 and 3"):
+            opt.step(np.zeros(2), np.ones(3), 0.1)
 
 
 class TestBuildEstimator:
@@ -161,6 +173,50 @@ class TestBuildEstimator:
             TrainConfig(prior="vpt", smooth_base=True), 2, rng).smooth_base
         assert not build_estimator(
             TrainConfig(prior="gaussian", smooth_base=True), 2, rng).smooth_base
+
+
+class TestParameterVector:
+    """An estimator owns one `theta`; its named parameter arrays are views that tile it."""
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_parameter_arrays_tile_theta(self, tmp_path, prior, source):
+        cfg = TrainConfig(prior=prior, levels=2, partition_mode="per-level", flow_layers=2,
+                          hidden=(4,))
+        est = build_estimator(cfg, 3, np.random.default_rng(0))
+        if source == "loaded":
+            save_checkpoint(tmp_path / "m.json", est, config=cfg)
+            est = load_checkpoint(tmp_path / "m.json").estimator
+        params = est.parameter_arrays()
+        assert all(np.shares_memory(v, est.theta) for v in params.values())
+        assert sum(v.size for v in params.values()) == est.theta.size
+        assert est.n_flow == sum(v.size for k, v in params.items() if k.startswith("flow/"))
+        est.theta[:] = np.arange(est.theta.size)
+        tiled = np.concatenate([v.reshape(-1) for v in est.parameter_arrays().values()])
+        np.testing.assert_array_equal(tiled, np.arange(est.theta.size))
+
+    def test_in_place_edits_show_in_theta(self):
+        est = build_estimator(TrainConfig(prior="vpt", levels=2, hidden=(4,)), 2,
+                              np.random.default_rng(0))
+        est.base.raw_left[...] = -800.0            # the first base array
+        assert np.all(est.theta[est.n_flow:est.n_flow + est.base.raw_left.size] == -800.0)
+        est.flow.layers[1].log_scale[0] = 0.25     # the last flow array
+        assert est.theta[est.n_flow - 2] == 0.25
+        est.theta[-1] = 7.0
+        assert est.base.raw_right[-1, -1] == 7.0
+
+    def test_train_rejects_arrays_detached_from_theta(self):
+        # a detached array would silently never move: Adam steps theta alone
+        ds = synth("eight_gaussians", 300, np.random.default_rng(1))
+        cfg = TrainConfig(prior="vpt", levels=2, hidden=(4,), epochs=1)
+        est = build_estimator(cfg, 2, np.random.default_rng(0))
+        DensityEstimator(est.flow, FixedPrior("gaussian", 2))     # takes over est's flow
+        with pytest.raises(ValueError, match="not all views of its theta"):
+            train(cfg, ds, estimator=est)
+        est = build_estimator(cfg, 2, np.random.default_rng(0))
+        est.base.raw_left = est.base.raw_left.copy()
+        with pytest.raises(ValueError, match="not all views of its theta"):
+            train(cfg, ds, estimator=est)
 
 
 class TestTrainLoop:
@@ -263,6 +319,16 @@ class TestTrainLoop:
         est, report = train(cfg, ds)
         assert report.best_epoch == int(np.argmin(report.val_nll))
         assert report.final["val_nll"] == min(report.val_nll)
+        recomputed = -avg_log_likelihood(est, ds.val)
+        assert abs(recomputed - report.final["val_nll"]) < 1e-12
+
+    def test_early_stopped_polyak_run_restores_the_best_average(self):
+        ds = synth("eight_gaussians", 500, np.random.default_rng(7))
+        cfg = TrainConfig(prior="gaussian", flow_layers=1, hidden=(8,), epochs=60,
+                          batch_size=128, patience=5, seed=7, polyak=True, polyak_decay=0.9)
+        est, report = train(cfg, ds)
+        assert len(report.val_nll) < cfg.epochs
+        assert report.best_epoch == int(np.argmin(report.val_nll)) < len(report.val_nll) - 1
         recomputed = -avg_log_likelihood(est, ds.val)
         assert abs(recomputed - report.final["val_nll"]) < 1e-12
 
