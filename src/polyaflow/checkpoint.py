@@ -217,8 +217,9 @@ def load_checkpoint(path):
     """Reload a checkpoint; rejects unknown schema versions and malformed fields.
 
     Array shapes are checked against the layer masks, the flow dims and the
-    tree depth, every float array for finiteness, and the standardization
-    record for length and std > 0; a ValueError names the field path.
+    tree depth, every float array for finiteness, the standardization
+    record for length and std > 0, `seed` for a non-negative integer or
+    null and `smooth_base` for a boolean; a ValueError names the field path.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -228,12 +229,14 @@ def load_checkpoint(path):
             f"unsupported checkpoint schema version {version!r} "
             f"(this build reads {SCHEMA_VERSION})"
         )
+    seed, smooth = doc.get("seed"), doc.get("smooth_base", False)
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ValueError(f"seed: expected a non-negative integer or null, got {seed!r}")
+    if not isinstance(smooth, bool):
+        raise ValueError(f"smooth_base: expected true or false, got {smooth!r}")
     flow = _flow_restore(doc["flow"])
-    estimator = DensityEstimator(
-        flow,
-        _base_restore(doc["prior"], flow.dims),
-        smooth_base=bool(doc.get("smooth_base", False)),
-    )
+    estimator = DensityEstimator(flow, _base_restore(doc["prior"], flow.dims),
+                                 smooth_base=smooth)
     config = doc.get("config")
     if config is not None:
         config = _config_restore(config)
@@ -249,7 +252,7 @@ def load_checkpoint(path):
     return Checkpoint(
         estimator=estimator,
         config=config,
-        seed=doc.get("seed"),
+        seed=seed,
         standardization=standardization,
         summary=doc.get("summary"),
     )

@@ -327,8 +327,9 @@ class DensityEstimator:
 
     An estimator takes over its flow and base: their arrays become views of
     its one float64 vector `theta`, in parameter_arrays() order, so the
-    first `n_flow` entries are the flow's.  In-place writes to either show
-    in the other.
+    first `n_flow` entries are the flow's and a tree's raw alphas are the
+    last (conjugate training steps the prefix before them).  In-place
+    writes to either show in the other.
     """
 
     flow: FlowModel
@@ -355,7 +356,8 @@ class DensityEstimator:
         return params
 
     def log_likelihood_vars(self, tape, pvars, x, **base_kwargs):
-        """(N,) Var of log model density at data points x."""
+        """(log density, latent) at data points x: (N,) and (N, D) Vars; the latent is
+        what the base read, the flow's output clamped to the unit cube behind a sigmoid."""
         flow_vars = {k[5:]: v for k, v in pvars.items() if k.startswith("flow/")}
         base_vars = {k[6:]: v for k, v in pvars.items() if k.startswith("prior/")}
         z, log_det = self.flow.forward_vars(tape, flow_vars, x)
@@ -364,7 +366,7 @@ class DensityEstimator:
         if self.smooth_base:
             base_kwargs = {**base_kwargs, "smooth": True}
         base_ll = self.base.log_density_vars(tape, base_vars, z, **base_kwargs)
-        return base_ll + log_det
+        return base_ll + log_det, z
 
     def log_likelihood(self, x, **base_kwargs):
         """Numpy wrapper: (N,) array of log densities.

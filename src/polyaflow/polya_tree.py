@@ -275,10 +275,9 @@ class PolyaTreeModel:
         return props
 
     def parameter_arrays(self):
-        """Live references to the trainable arrays, keyed by name."""
-        params = {"raw_left": self.raw_left, "raw_right": self.raw_right}
-        if self.split_raw is not None:
-            params["split_raw"] = self.split_raw
+        """Live references to the trainable arrays, keyed by name, the raw alphas last."""
+        params = {} if self.split_raw is None else {"split_raw": self.split_raw}
+        params.update(raw_left=self.raw_left, raw_right=self.raw_right)
         return params
 
     def param_count(self):
@@ -371,7 +370,8 @@ class PolyaTreeModel:
 
         Its value is `_sum_down` of (ln Y, ln(1-Y)) minus that of the log split
         proportions; `log_ys` is a sampled-mode draw, or None for the posterior
-        mean, whose raw alphas are then parents.  The vjp sums g up the tree
+        mean, whose raw alphas are then parents unless they are constants
+        (plain arrays, as in conjugate training).  The vjp sums g up the tree
         into per-node cL, cR: d/d raw_left = (cL/al - (cL+cR)/(al+ar))
         sigmoid(raw_left), likewise raw_right, and d/d s = cR sigmoid(s) -
         cL sigmoid(-s) per node (summed per level for per-level splits).
@@ -380,10 +380,12 @@ class PolyaTreeModel:
         per_level = self.partition_mode == "per-level"
         parents, mean, split = [], None, None
         if log_ys is None:
-            parents += [pvars["raw_left"].index, pvars["raw_right"].index]
-            raw_l, raw_r = pvars["raw_left"].value, pvars["raw_right"].value
+            raw_l, raw_r = pvars["raw_left"], pvars["raw_right"]
+            if isinstance(raw_l, ad.Var):
+                parents += [raw_l.index, raw_r.index]
+                raw_l, raw_r = raw_l.value, raw_r.value
             al, ar = special.softplus(raw_l), special.softplus(raw_r)
-            mean = (raw_l, raw_r, al, ar)
+            mean = (raw_l, raw_r, al, ar) if parents else None
             log_ys = _mean_log_ys(al, ar)
         table = _sum_down(*log_ys, levels)
         if self.partition_mode == "dyadic":

@@ -3,9 +3,10 @@
 One optimization step records the whole loss on a fresh tape, runs the
 reverse sweep, and applies Adam in place to the estimator's parameter
 vector `theta`: its first `n_flow` entries, the flow's, take `lr_flow`, and
-the base's ("prior") take `lr_prior`.  With `conjugate=True` and a tree
-base, Adam steps the flow's entries only and the tree's alphas are
-refreshed by the closed-form Beta-Binomial update, blended across batches.
+the base's ("prior") take `lr_prior`.  With `conjugate=True` (tree bases
+only) the raw alphas are tape constants, set by a blended closed-form
+Beta-Binomial refresh from the latents the loss computed (one flow pass per
+step, as in stochastic variational inference); Adam steps flow and splits.
 """
 
 import time
@@ -148,7 +149,8 @@ def train(config, dataset, rng=None, estimator=None):
     if estimator is None:
         estimator = build_estimator(config, dataset.dims, init_rng)
 
-    conjugate = config.conjugate and isinstance(estimator.base, PolyaTreeModel)
+    if config.conjugate and not isinstance(estimator.base, PolyaTreeModel):
+        raise ValueError(f"conjugate mode needs a tree base, got {type(estimator.base).__name__}")
     optimizer = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
     theta, n_flow = estimator.theta, estimator.n_flow
     if not all(np.may_share_memory(v, theta) for v in estimator.parameter_arrays().values()):
@@ -173,8 +175,7 @@ def train(config, dataset, rng=None, estimator=None):
         for b, start in enumerate(range(0, n_train, config.batch_size)):
             xb = x_train[perm[start:start + config.batch_size]]
             try:
-                loss, data_nll = _step(estimator, optimizer, lr, xb, config, conjugate,
-                                       n_train)
+                loss, data_nll = _step(estimator, optimizer, lr, xb, config, n_train)
             except FloatingPointError as err:
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {b}: {err}"
@@ -221,31 +222,38 @@ def train(config, dataset, rng=None, estimator=None):
     return estimator, report
 
 
-def _step(estimator, optimizer, lr, xb, config, conjugate, n_train):
-    """One gradient (and optionally conjugate) update; returns (loss, data NLL)."""
+def _step(estimator, optimizer, lr, xb, config, n_train):
+    """One gradient (and optionally conjugate) update; returns (loss, data NLL).
+
+    In conjugate mode the raw alphas are tape constants, the refresh reads the
+    loss's latents in the loss's cells, then Adam steps the flow and splits."""
     tape = ad.Tape()
-    pvars = {k: tape.leaf(v) for k, v in estimator.parameter_arrays().items()}
-    ll = estimator.log_likelihood_vars(tape, pvars, xb)
+    alphas = ("prior/raw_left", "prior/raw_right") if config.conjugate else ()
+    pvars = {k: v if k in alphas else tape.leaf(v)
+             for k, v in estimator.parameter_arrays().items()}
+    ll, z = estimator.log_likelihood_vars(tape, pvars, xb)
     loss = -ll.mean()
     data_nll = float(loss.value)
-    if config.kl_weight > 0.0 and isinstance(estimator.base, PolyaTreeModel):
+    if config.kl_weight > 0.0 and isinstance(pvars.get("prior/raw_left"), ad.Var):
         al = ad.softplus(pvars["prior/raw_left"])
         ar = ad.softplus(pvars["prior/raw_right"])
         loss = loss + config.kl_weight * beta_kl_vars(al, ar, 1.0, 1.0).sum()
     ad.backward(loss)
-    n_step = estimator.n_flow if conjugate else estimator.theta.size
-    grad = np.concatenate([v.grad.reshape(-1) for v in pvars.values()] or [np.empty(0)])
-    optimizer.step(estimator.theta[:n_step], grad[:n_step], lr[:n_step])
-    if conjugate:
+    if config.conjugate:
         # blend * alpha + (1 - blend) * (1 + scale * counts), in alpha space
         base = estimator.base
         blend = config.conjugate_blend
         refreshed = base.conjugate_update(
-            estimator.latent(xb),
+            z.value,
             prior_alphas=[blend * alpha + (1.0 - blend) for alpha in base.alphas()],
             count_scale=(1.0 - blend) * n_train / xb.shape[0])
         base.raw_left[...] = refreshed.raw_left
         base.raw_right[...] = refreshed.raw_right
+    on_tape = [isinstance(v, ad.Var) for v in pvars.values()]   # Adam steps a prefix
+    assert on_tape == sorted(on_tape, reverse=True), "tape constants must end theta"
+    grad = np.concatenate([v.grad.reshape(-1) for v in pvars.values()
+                           if isinstance(v, ad.Var)] or [np.empty(0)])
+    optimizer.step(estimator.theta[:grad.size], grad, lr[:grad.size])
     return float(loss.value), data_nll
 
 

@@ -230,6 +230,14 @@ class TestCliErrors:
         assert rc == 1
         assert "tree prior" in capsys.readouterr().err
 
+    def test_conjugate_needs_tree_prior(self, tmp_path, capsys):
+        rc = main(["train", "--data", "synthetic:eight_gaussians", "--n", "300",
+                   "--prior", "gaussian", "--conjugate", "--epochs", "1",
+                   "--out", str(tmp_path / "g.json")])
+        assert rc == 1
+        assert "error: conjugate mode needs a tree base" in capsys.readouterr().err
+        assert not (tmp_path / "g.json").exists()
+
     def test_bad_bounds_string(self, tmp_path, capsys):
         model = _train_small(tmp_path)
         capsys.readouterr()
@@ -372,6 +380,23 @@ class TestCheckpointValidation:
         pytest.param(lambda d: _set(d, ("flow", "layers", 0, "mask"), [True, True]),
                      r"flow\.layers\[0\]\.mask: must pass some and shift some coordinates",
                      id="mask-all-true"),
+        # json's true is a Python bool, which is an int: it must not pass as a seed
+        pytest.param(lambda d: _set(d, ("seed",), True),
+                     r"seed: expected a non-negative integer or null, got True",
+                     id="seed-bool"),
+        pytest.param(lambda d: _set(d, ("seed",), "abc"),
+                     r"seed: expected a non-negative integer or null, got 'abc'",
+                     id="seed-string"),
+        pytest.param(lambda d: _set(d, ("seed",), 3.0),
+                     r"seed: expected a non-negative integer or null, got 3\.0",
+                     id="seed-float"),
+        pytest.param(lambda d: _set(d, ("seed",), -1),
+                     r"seed: expected a non-negative integer or null, got -1",
+                     id="seed-negative"),
+        pytest.param(lambda d: _set(d, ("smooth_base",), "no"),
+                     r"smooth_base: expected true or false, got 'no'", id="smooth-base-string"),
+        pytest.param(lambda d: _set(d, ("smooth_base",), 0),
+                     r"smooth_base: expected true or false, got 0", id="smooth-base-int"),
     ])
     def test_bad_field_named(self, tmp_path, edit, message):
         doc, path = _saved_doc(tmp_path)
@@ -405,6 +430,36 @@ class TestCheckpointValidation:
         path.write_text(json.dumps(doc))
         assert main(["sample", "--model", str(path), "--n", "5"]) == 1
         assert "error: config.bogus: unknown field" in capsys.readouterr().err
+
+    def test_cli_eval_reports_a_bad_seed(self, tmp_path, capsys):
+        # without --seed, eval splits the data with the checkpoint's seed
+        model = _train_small(tmp_path)
+        doc = json.loads(open(model).read())
+        doc["seed"] = "abc"
+        with open(model, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert main(["eval", "--model", model, "--data", "synthetic:eight_gaussians",
+                     "--n", "300"]) == 1
+        err = capsys.readouterr().err
+        assert "error: seed: expected a non-negative integer or null, got 'abc'" in err
+        assert "Traceback" not in err
+
+    def test_null_seed_and_missing_smooth_base_load(self, tmp_path):
+        doc, path = _saved_doc(tmp_path)
+        doc["seed"] = None
+        del doc["smooth_base"]
+        path.write_text(json.dumps(doc))
+        ck = load_checkpoint(path)
+        assert ck.seed is None and not ck.estimator.smooth_base
+
+    def test_conjugate_config_on_a_fixed_prior_loads(self, tmp_path):
+        # `train` rejects this combination; a checkpoint recording it still loads
+        est = DensityEstimator(build_flow(2, n_coupling=1, hidden=(4,)), FixedPrior("gaussian", 2))
+        cfg = TrainConfig(prior="gaussian", hidden=(4,), conjugate=True)
+        path = tmp_path / "g.json"
+        save_checkpoint(path, est, config=cfg, seed=1)
+        assert load_checkpoint(path).config == cfg
 
 
 class TestEvalSeedDefault:

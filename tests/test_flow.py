@@ -143,7 +143,7 @@ class TestGradients:
 
         def build(tape, leaves):
             pvars = dict(zip(keys, leaves))
-            return est.log_likelihood_vars(tape, pvars, x).sum()
+            return est.log_likelihood_vars(tape, pvars, x)[0].sum()
 
         check_gradients(build, arrays, tol=1e-4)
 
@@ -156,7 +156,7 @@ class TestGradients:
 
         def build(tape, leaves):
             pvars = dict(zip(keys, leaves))
-            return est.log_likelihood_vars(tape, pvars, x).sum()
+            return est.log_likelihood_vars(tape, pvars, x)[0].sum()
 
         check_gradients(build, list(est.parameter_arrays().values()), tol=1e-4)
 
@@ -381,7 +381,7 @@ def _recorded_log_likelihood(est, x, chunk, y_mode):
         tape = ad.Tape()
         pvars = {k: tape.leaf(v) for k, v in est.parameter_arrays().items()}
         out.append(est.log_likelihood_vars(tape, pvars, x[start:start + chunk], y_mode=y_mode,
-                                           rng=np.random.default_rng(5)).value)
+                                           rng=np.random.default_rng(5))[0].value)
     return np.concatenate(out)
 
 

@@ -866,6 +866,31 @@ class TestTreeNodes:
                               model, x, np.ones(50))
         assert oracle[3] == {"dyadic": 14, "per-node": 20, "per-level": 21}[mode]
 
+    @pytest.mark.parametrize("mode", ["dyadic", "per-level", "per-node"])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_constant_alphas_record_no_alpha_parents(self, mode, smooth):
+        # conjugate training passes the raw alphas as plain arrays: same values and
+        # split gradients, no alpha closed forms, and a dyadic table with no parents
+        model = extreme_model(3, 2, mode, np.random.default_rng(6), "posterior-mean")
+        x = np.random.default_rng(7).uniform(1e-9, 1.0, (40, 2))
+        weights = np.random.default_rng(8).uniform(0.5, 1.5, 40)
+        want = tree_on_tape(lambda t, p, xv: model.log_density_vars(t, p, xv, smooth=smooth),
+                            model, x, weights)
+        tape = ad.Tape()
+        alphas = {"raw_left": model.raw_left, "raw_right": model.raw_right}
+        pvars = {k: v if k in alphas else tape.leaf(v)
+                 for k, v in model.parameter_arrays().items()}
+        xv = tape.leaf(x)
+        table = model.leaf_log_densities_vars(tape, pvars)
+        assert tape._parents[table.index] == (() if mode == "dyadic" else
+                                              (pvars["split_raw"].index,))
+        out = model.log_density_vars(tape, pvars, xv, smooth=smooth)
+        ad.backward((out * weights).sum())
+        assert out.value.tobytes() == want[0].tobytes()
+        assert xv.grad.tobytes() == want[2].tobytes()
+        if mode != "dyadic":
+            assert pvars["split_raw"].grad.tobytes() == want[1]["split_raw"].tobytes()
+
     @pytest.mark.parametrize("tape_cls", [ad.Tape, ad.EvalTape])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e4, 1.7e308])
     def test_non_finite_parameters_raise_on_both_tapes(self, tape_cls, bad):

@@ -260,6 +260,62 @@ class TestTrainLoop:
         np.testing.assert_allclose(got_l, want_l, atol=1e-12)
         np.testing.assert_allclose(got_r, want_r, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["per-node", "per-level"])
+    def test_conjugate_trains_learned_splits(self, mode):
+        # Adam steps every entry of theta but the refreshed alphas, splits included
+        ds = synth("checkerboard", 1500, np.random.default_rng(2))
+        cfg = TrainConfig(prior="vpt", partition_mode=mode, hidden=(8,), epochs=3, seed=2,
+                          conjugate=True)
+        est, _ = train(cfg, ds)
+        assert np.abs(est.base.split_raw).max() > 0.1
+
+    def test_conjugate_refresh_routes_through_the_loss_splits(self):
+        # one full-batch step: the refreshed alphas count the pre-step latents in the
+        # pre-step cells, not in the cells of the splits Adam has just moved
+        x = synth("checkerboard", 600, np.random.default_rng(2)).points
+        ds = Dataset(points=x, train_idx=np.arange(600), val_idx=EMPTY, test_idx=EMPTY)
+        cfg = TrainConfig(prior="vpt", partition_mode="per-node", hidden=(8,), epochs=1,
+                          batch_size=600, conjugate=True)
+        est = build_estimator(cfg, 2, np.random.default_rng(2))
+        z = est.latent(x)
+        prior_alphas = [0.9 * a + 0.1 for a in est.base.alphas()]
+        want = est.base.conjugate_update(z, prior_alphas=prior_alphas, count_scale=0.1)
+        train(cfg, ds, estimator=est)
+        moved = est.base.conjugate_update(z, prior_alphas=prior_alphas, count_scale=0.1)
+        assert not np.array_equal(moved.raw_left, want.raw_left)    # the splits did move
+        np.testing.assert_allclose(est.base.raw_left, want.raw_left, rtol=1e-12)
+        np.testing.assert_allclose(est.base.raw_right, want.raw_right, rtol=1e-12)
+
+    def test_conjugate_step_runs_the_flow_once(self, monkeypatch):
+        # 700 training points in batches of 256: 3 steps per epoch, one tape pass each;
+        # the only numpy passes are each epoch's validation and the test split's two
+        # metrics
+        calls = {"tape": 0, "eval_tape": 0, "forward": 0}
+        forward_vars, forward = FlowModel.forward_vars, FlowModel.forward
+
+        def counted_forward_vars(self, tape, pvars, x):
+            calls["tape" if tape.records else "eval_tape"] += 1
+            return forward_vars(self, tape, pvars, x)
+
+        def counted_forward(self, x):
+            calls["forward"] += 1
+            return forward(self, x)
+
+        monkeypatch.setattr(FlowModel, "forward_vars", counted_forward_vars)
+        monkeypatch.setattr(FlowModel, "forward", counted_forward)
+        ds = synth("checkerboard", 1000, np.random.default_rng(1))
+        cfg = TrainConfig(prior="vpt", levels=3, hidden=(8,), epochs=2, batch_size=256,
+                          conjugate=True)
+        train(cfg, ds)
+        assert calls == {"tape": 6, "eval_tape": 4, "forward": 4}
+
+    @pytest.mark.parametrize("prior", ["gaussian", "histogram"])
+    def test_conjugate_needs_a_tree_base(self, prior):
+        ds = synth("eight_gaussians", 300, np.random.default_rng(1))
+        cfg = TrainConfig(prior=prior, hidden=(4,), epochs=1, conjugate=True)
+        with pytest.raises(ValueError, match="conjugate mode needs a tree base, got"):
+            train(cfg, ds)
+
     def test_divergence_reports_epoch_and_batch(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(0.0, 1e-3, size=(48, 2))
@@ -358,6 +414,68 @@ class TestTrainLoop:
         assert deviation(50.0) < deviation(0.0)
 
 
+# Two short non-conjugate fits, recorded when theta was laid out flow, raw_left,
+# raw_right, split_raw: Adam and the Polyak average act elementwise, so no layout
+# of theta may move them.
+RECORDED_FITS = {
+    "dyadic-relu": {
+        "train_nll": [3.394104947127024, 3.3562125316393345, 3.3492846233312403],
+        "flow/c0_W0": [0.40312938612672916, -1.0661677665070006, 0.7306485862024865,
+            0.23725078574861655],
+        "flow/c0_W1": [-0.07094082379174542, 0.008850762354724068, -0.07046070198390983,
+            -0.07154544183549208],
+        "flow/c0_b0": [-0.05084415241710194, -0.044659114024228785, -0.05395035060796206,
+            -0.05053916173658455],
+        "flow/c0_b1": [-0.017235973362028388],
+        "flow/s1_log_scale": [0.0894449042539968, 0.08876643297844956],
+        "prior/raw_left": [0.6656585522770035, 0.338044752624905, 0.5790777740023559,
+            0.5263069325782679, 0.24971777508296863, 0.7578356537727382],
+        "prior/raw_right": [0.42211683609053496, 0.7496045252307291, 0.513581195451113,
+            0.571452312077095, 0.8507904239793757, 0.33509089402482783],
+    },
+    "per-node-kl": {
+        "train_nll": [3.4104219111324263, 3.3690556728602976, 3.3432546946550508],
+        "flow/c0_W0": [0.3682947955838107, -1.03857299551961, 0.6622482593857285,
+            0.208780491741534],
+        "flow/c0_W1": [-0.04171445388124215, 0.02302059566423012, -0.03556523916674324,
+            -0.04259076776095565],
+        "flow/c0_b0": [-0.01100757286580904, 0.019692805736810048, -0.01604547765623304,
+            -0.008621060501068329],
+        "flow/c0_b1": [-0.026144429144961824],
+        "flow/s1_log_scale": [0.0894449042539968, 0.08876946643297061],
+        "prior/raw_left": [0.6101181304516246, 0.4776675496645492, 0.5404041725386755,
+            0.5703363635637622, 0.6781541893925215, 0.4873399211459013],
+        "prior/raw_right": [0.4829931405723561, 0.6219222443206026, 0.5668913698237527,
+            0.5316353257623408, 0.43178525926333583, 0.6057095557681833],
+        "prior/split_raw": [-0.08748577750421695, 0.037512373480265794, -7.69165201461796e-06,
+            0.22757788328369055, 0.14909555326832535, -0.4054060620753668],
+    },
+}
+
+
+class TestRecordedFits:
+    """Non-conjugate seeded fits stay where they were recorded, whatever theta's layout."""
+
+    CONFIGS = {
+        "dyadic-relu": dict(activation="relu"),
+        "per-node-kl": dict(partition_mode="per-node", kl_weight=0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_fit_matches_its_record(self, name):
+        ds = synth("checkerboard", 400, np.random.default_rng(12))
+        cfg = TrainConfig(prior="vpt", levels=2, hidden=(4,), epochs=3, batch_size=128,
+                          patience=10, seed=12, **self.CONFIGS[name])
+        est, report = train(cfg, ds)
+        want = RECORDED_FITS[name]
+        got = {"train_nll": report.train_nll, **est.parameter_arrays()}
+        assert sorted(got) == sorted(want)
+        for key, ref in want.items():
+            ref = np.asarray(ref)
+            np.testing.assert_allclose(np.ravel(got[key]), ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max(), err_msg=key)
+
+
 class TestTapeSize:
     def test_criterion_07_loss_records_at_most_22_nodes(self):
         # vpt L=3 under one (50, 50) relu coupling, scaling and the sigmoid squash
@@ -367,7 +485,7 @@ class TestTapeSize:
         xb = synth("checkerboard", 256, np.random.default_rng(1)).points
         tape = Tape()
         pvars = {k: tape.leaf(v) for k, v in est.parameter_arrays().items()}
-        loss = -est.log_likelihood_vars(tape, pvars, xb).mean()
+        loss = -est.log_likelihood_vars(tape, pvars, xb)[0].mean()
         assert len(tape) <= 22                    # the tree density is 2 of them
         assert np.isfinite(loss.value)
 
@@ -379,7 +497,7 @@ class TestTapeSize:
         xb = synth("checkerboard", 256, np.random.default_rng(1)).points
         tape = Tape()
         pvars = {k: tape.leaf(v) for k, v in est.parameter_arrays().items()}
-        loss = -est.log_likelihood_vars(tape, pvars, xb).mean()
+        loss = -est.log_likelihood_vars(tape, pvars, xb)[0].mean()
         assert len(tape) <= 33
         assert np.isfinite(loss.value)
 
