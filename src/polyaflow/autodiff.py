@@ -6,21 +6,27 @@ returns one gradient per parent), and `backward` replays the list once in
 reverse.  Because nodes are appended in execution order, the record is
 already topologically sorted and each node is visited exactly once.
 
-Only `Var`s are nodes.  An operand that is not a `Var` (a Python float, a
-mask, a fixed table) is a constant: it is checked for finiteness like any
-recorded value, but it is not recorded, its parent slot holds None and the
-reverse pass skips it.  A node may stand for a whole composite: a flow's
-coupling layer is one node with a hand-written callback (see `flow`).
+Only what depends on a `leaf` is a node.  A constant -- an operand that
+is not a `Var` (a Python float, a mask, a fixed table), a `Tape.constant`
+such as a data batch, or the result of an operation whose operands are
+all constants -- is checked for finiteness like any recorded value, but it
+is not recorded: its index is None, a node's parent slot for it holds
+None, the reverse pass skips it and its `.grad` reads zeros.  So a
+computation on data alone (a fixed leaf table and its lookup, say) costs
+no record and no callback.  A node may stand for a whole composite: a
+flow's coupling layer is one node with a hand-written callback (see
+`flow`), which skips the gradient of a constant input.
 
 Each `Var` carries its own value; a tape holds only the structure the
 reverse pass needs, so an intermediate stays alive exactly as long as a
 callback or a caller refers to it.  Arrays needed only by the reverse
 pass (the sigmoid in `softplus`, digamma in `lgamma`, ...) are computed
-inside the callbacks, when `backward` runs.  An `EvalTape` keeps nothing
-at all -- no parents, no callbacks -- so each intermediate is freed as
-soon as the computation moves past it; it still checks every value for
-finiteness, and `backward` on it raises.  `evaluate` runs a tape function
-on one, which is how every numpy wrapper in the package evaluates.
+inside the callbacks, when `backward` runs.  On an `EvalTape` every Var is
+a constant: it keeps nothing at all -- no parents, no callbacks -- so each
+intermediate is freed as soon as the computation moves past it; it still
+checks every value for finiteness, and `backward` on it raises.
+`evaluate` runs a tape function on one, which is how every numpy wrapper
+in the package evaluates.
 
 Numeric failure on either tape -- a non-finite value, or an input outside
 a primitive's domain -- raises `NumericError`, which is both a
@@ -64,16 +70,29 @@ class Tape:
         return len(self._parents)
 
     def leaf(self, value):
-        """Record an input and return its Var handle."""
-        return self.record(np.asarray(value, dtype=np.float64), (), None)
+        """Record an input, a node the reverse pass reaches, and return its Var."""
+        value = np.asarray(value, dtype=np.float64)
+        check_finite(value)
+        self._parents.append(())
+        self._vjps.append(None)
+        return Var(self, len(self._parents) - 1, value)
+
+    def constant(self, value):
+        """Check an input the reverse pass need not reach; return it as an unrecorded Var."""
+        value = np.asarray(value, dtype=np.float64)
+        check_finite(value)
+        return Var(self, None, value)
 
     def record(self, value, parents, vjp):
-        """Check `value`, append it as a node and return its Var.
+        """Check `value` and return its Var: a node, or a constant if no parent is a node.
 
-        `parents` holds node indices (None for a constant operand), and
-        `vjp(g)` returns one gradient per entry of `parents`.
+        `parents` is a tuple of node indices (None for a constant operand),
+        and `vjp(g)` returns one gradient per entry of `parents`; its entry
+        for a constant may be anything, as the reverse pass skips it.
         """
         check_finite(value)
+        if parents.count(None) == len(parents):
+            return Var(self, None, value)
         self._parents.append(parents)
         self._vjps.append(vjp)
         return Var(self, len(self._parents) - 1, value)
@@ -81,7 +100,7 @@ class Tape:
     def _grad_of(self, index):
         if self._grads is None:
             raise RuntimeError("gradients not computed; call backward first")
-        return self._grads[index]
+        return None if index is None else self._grads[index]
 
 
 class EvalTape(Tape):
@@ -94,6 +113,9 @@ class EvalTape(Tape):
 
     def __len__(self):
         return 0
+
+    def leaf(self, value):
+        return self.constant(value)
 
     def record(self, value, parents, vjp):
         check_finite(value)
@@ -388,15 +410,18 @@ def backward(loss):
     """Reverse sweep from a scalar Var; fills gradient slots on its tape.
 
     Every Var reachable from `loss` ends up with d(loss)/d(value); nodes
-    the loss does not depend on read back as zeros.  An EvalTape keeps no
-    record to sweep, so `loss` must come from a recording Tape.
+    the loss does not depend on, constants and every Var of a constant
+    loss read back as zeros.  An EvalTape keeps no record to sweep, so
+    `loss` must come from a recording Tape.
     """
     tape = loss.tape
     if not tape.records:
         raise RuntimeError("backward needs a recording Tape; an EvalTape keeps no record")
     if loss.value.size != 1:
         raise ValueError("backward requires a scalar loss")
-    grads = [None] * len(tape)
+    grads = tape._grads = [None] * len(tape)
+    if loss.index is None:
+        return
     grads[loss.index] = np.ones_like(loss.value)
     for i in range(loss.index, -1, -1):
         g = grads[i]
@@ -410,4 +435,3 @@ def backward(loss):
                 grads[parent] = np.asarray(contrib, dtype=np.float64)
             else:
                 grads[parent] = grads[parent] + contrib
-    tape._grads = grads

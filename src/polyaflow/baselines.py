@@ -153,7 +153,7 @@ class FixedPrior:
 
     def log_density_vars(self, tape, pvars, z):
         if not isinstance(z, ad.Var):
-            z = tape.leaf(np.asarray(z, dtype=np.float64))
+            z = tape.constant(z)
         if self.kind == "gaussian":
             const = 0.5 * self.dims * np.log(2.0 * np.pi)
             return (z * z).sum(axis=1) * -0.5 - const

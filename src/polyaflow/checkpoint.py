@@ -2,9 +2,11 @@
 
 Floats are serialized through json's repr path, which emits the shortest
 decimal string that parses back to the identical double, so a saved and
-reloaded model evaluates bit-for-bit the same.  Loading checks every
-array's shape against the model structure and every float for finiteness,
-and rejects a bad value with its field path (json itself accepts NaN).
+reloaded model evaluates bit-for-bit the same.  Loading reads every field
+through `_field`, which checks that it is there and of the right JSON type,
+checks every array's shape against the model structure and every float for
+finiteness, and rejects a bad value with a ValueError whose message starts
+with its field path (json itself accepts NaN).
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import numpy as np
 from .baselines import FixedPrior, LearnableHistogram
 from .flow import (ACTIVATIONS, CouplingLayer, DensityEstimator, FlowModel, ScalingLayer,
                    SigmoidLayer)
-from .polya_tree import PolyaTreeModel
+from .polya_tree import PARTITION_MODES, PolyaTreeModel
 from .train import TrainConfig
 
 SCHEMA_VERSION = 1
@@ -49,6 +51,24 @@ def _flow_payload(flow):
         else:
             raise TypeError(f"cannot serialize layer {type(layer).__name__}")
     return {"dims": flow.dims, "layers": layers}
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _typed(value, path, kind):
+    """`value` checked to be a `kind` (a JSON boolean is no integer); ValueError names `path`."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        got = "null" if value is None else type(value).__name__
+        raise ValueError(f"{path}: expected {_KINDS[kind]}, got {got}")
+    return value
+
+
+def _field(obj, key, path, kind=object):
+    """`obj[key]`, the field at `path`, checked to be present and a `kind`."""
+    if key not in obj:
+        raise ValueError(f"{path}: missing")
+    return _typed(obj[key], path, kind)
 
 
 def _floats(value, path, shape=None):
@@ -90,28 +110,30 @@ def _coupling_weights(weights, path, n_in, n_out):
 
 
 def _flow_restore(payload):
-    dims = int(payload["dims"])
+    dims = _field(payload, "dims", "flow.dims", int)
     layers = []
-    for i, spec in enumerate(payload["layers"]):
+    for i, spec in enumerate(_field(payload, "layers", "flow.layers", list)):
         path = f"flow.layers[{i}]"
-        kind = spec["type"]
+        spec = _typed(spec, path, dict)
+        kind = _field(spec, "type", f"{path}.type")
         if kind == "coupling":
-            mask = np.asarray(spec["mask"], dtype=bool)
+            mask = np.asarray(_field(spec, "mask", f"{path}.mask", list), dtype=bool)
             if mask.shape != (dims,):
                 raise ValueError(f"{path}.mask: expected shape {(dims,)}, got {mask.shape}")
             if mask.all() or not mask.any():
                 raise ValueError(f"{path}.mask: must pass some and shift some coordinates")
-            if spec["activation"] not in ACTIVATIONS:
+            activation = _field(spec, "activation", f"{path}.activation")
+            if activation not in ACTIVATIONS:
                 raise ValueError(f"{path}.activation: expected one of {ACTIVATIONS}, "
-                                 f"got {spec['activation']!r}")
+                                 f"got {activation!r}")
             n_in = int(mask.sum())
+            weights = _field(spec, "weights", f"{path}.weights", list)
             layers.append(CouplingLayer(
-                mask,
-                _coupling_weights(spec["weights"], f"{path}.weights", n_in, dims - n_in),
-                spec["activation"],
-            ))
+                mask, _coupling_weights(weights, f"{path}.weights", n_in, dims - n_in),
+                activation))
         elif kind == "scaling":
-            layers.append(ScalingLayer(_floats(spec["log_scale"], f"{path}.log_scale", (dims,))))
+            log_scale = _field(spec, "log_scale", f"{path}.log_scale")
+            layers.append(ScalingLayer(_floats(log_scale, f"{path}.log_scale", (dims,))))
         elif kind == "sigmoid":
             layers.append(SigmoidLayer())
         else:
@@ -145,35 +167,32 @@ def _base_payload(base):
 
 def _base_restore(payload, dims):
     """The base density, checked against the flow's `dims`."""
-    kind = payload["kind"]
-    if int(payload["dims"]) != dims:
+    kind = _field(payload, "kind", "prior.kind")
+    if _field(payload, "dims", "prior.dims", int) != dims:
         raise ValueError(f"prior.dims: expected {dims} (flow.dims), got {payload['dims']}")
+
+    def floats(key, shape):
+        return _floats(_field(payload, key, f"prior.{key}"), f"prior.{key}", shape)
+
     if kind == "vpt":
-        levels, mode = int(payload["levels"]), payload["partition_mode"]
+        levels = _field(payload, "levels", "prior.levels", int)
+        mode = _field(payload, "partition_mode", "prior.partition_mode")
         if levels < 1:
             raise ValueError(f"prior.levels: expected >= 1, got {levels}")
+        if mode not in PARTITION_MODES:
+            raise ValueError(f"prior.partition_mode: expected one of {PARTITION_MODES}, "
+                             f"got {mode!r}")
         nodes = (dims, (1 << levels) - 1)
-        split = payload["split_raw"]
-        if split is not None:
-            split_shape = (dims, levels) if mode == "per-level" else nodes
-            split = _floats(split, "prior.split_raw", split_shape)
-        return PolyaTreeModel(
-            levels,
-            dims,
-            _floats(payload["raw_left"], "prior.raw_left", nodes),
-            _floats(payload["raw_right"], "prior.raw_right", nodes),
-            mode,
-            split,
-        )
+        split = None
+        if _field(payload, "split_raw", "prior.split_raw") is not None:
+            split = floats("split_raw", (dims, levels) if mode == "per-level" else nodes)
+        return PolyaTreeModel(levels, dims, floats("raw_left", nodes),
+                              floats("raw_right", nodes), mode, split)
     if kind == "histogram":
-        bins = int(payload["bins"])
+        bins = _field(payload, "bins", "prior.bins", int)
         cells = (bins, dims)
-        return LearnableHistogram(
-            bins,
-            dims,
-            _floats(payload["raw_widths"], "prior.raw_widths", cells),
-            _floats(payload["raw_logits"], "prior.raw_logits", cells),
-        )
+        return LearnableHistogram(bins, dims, floats("raw_widths", cells),
+                                  floats("raw_logits", cells))
     if kind in ("gaussian", "logistic"):
         return FixedPrior(kind, dims)
     raise ValueError(f"unknown prior kind {kind!r} in checkpoint")
@@ -181,9 +200,7 @@ def _base_restore(payload, dims):
 
 def _config_restore(config):
     """The TrainConfig a checkpoint records; a malformed field raises ValueError naming it."""
-    if not isinstance(config, dict):
-        raise ValueError(f"config: expected an object, got {type(config).__name__}")
-    for key in config:
+    for key in _typed(config, "config", dict):
         if key not in TrainConfig.__dataclass_fields__:
             raise ValueError(f"config.{key}: unknown field")
     hidden = config.get("hidden", [])
@@ -222,7 +239,7 @@ def load_checkpoint(path):
     null and `smooth_base` for a boolean; a ValueError names the field path.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _typed(json.load(fh), "checkpoint", dict)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(
@@ -234,17 +251,19 @@ def load_checkpoint(path):
         raise ValueError(f"seed: expected a non-negative integer or null, got {seed!r}")
     if not isinstance(smooth, bool):
         raise ValueError(f"smooth_base: expected true or false, got {smooth!r}")
-    flow = _flow_restore(doc["flow"])
-    estimator = DensityEstimator(flow, _base_restore(doc["prior"], flow.dims),
-                                 smooth_base=smooth)
+    flow = _flow_restore(_field(doc, "flow", "flow", dict))
+    estimator = DensityEstimator(flow, _base_restore(_field(doc, "prior", "prior", dict),
+                                                     flow.dims), smooth_base=smooth)
     config = doc.get("config")
     if config is not None:
         config = _config_restore(config)
     standardization = doc.get("standardization")
     if standardization is not None:
+        record = _typed(standardization, "standardization", dict)
         shape = (flow.dims,)
-        mean = _floats(standardization["mean"], "standardization.mean", shape)
-        std = _floats(standardization["std"], "standardization.std", shape)
+        mean = _floats(_field(record, "mean", "standardization.mean"), "standardization.mean",
+                       shape)
+        std = _floats(_field(record, "std", "standardization.std"), "standardization.std", shape)
         if not np.all(std > 0.0):
             j = int(np.flatnonzero(std <= 0.0)[0])
             raise ValueError(f"standardization.std[{j}]: expected > 0, got {float(std[j])!r}")

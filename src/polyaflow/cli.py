@@ -22,8 +22,8 @@ from .polya_tree import PolyaTreeModel
 from .train import (
     TrainConfig,
     avg_log_likelihood,
-    bits_per_dim,
     density_grid,
+    nats_to_bits_per_dim,
     train,
 )
 
@@ -189,10 +189,11 @@ def cmd_eval(args):
     x = _split_points(ds, args.split)
     if x.shape[0] == 0:
         raise ValueError(f"split {args.split!r} is empty")
+    nll = -avg_log_likelihood(ck.estimator, x)
     if args.metric in ("nll", "both"):
-        print(json.dumps({"metric": "nll", "value": -avg_log_likelihood(ck.estimator, x)}))
+        print(json.dumps({"metric": "nll", "value": nll}))
     if args.metric in ("bpd", "both"):
-        print(json.dumps({"metric": "bpd", "value": bits_per_dim(ck.estimator, x)}))
+        print(json.dumps({"metric": "bpd", "value": nats_to_bits_per_dim(nll, x.shape[1])}))
     return 0
 
 

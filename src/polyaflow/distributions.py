@@ -118,8 +118,8 @@ def beta_kl_vars(alpha_p, beta_p, alpha_q, beta_q):
     constants); gradients flow through the first pair.
     """
     tape = alpha_p.tape
-    aq = alpha_q if isinstance(alpha_q, ad.Var) else tape.leaf(alpha_q)
-    bq = beta_q if isinstance(beta_q, ad.Var) else tape.leaf(beta_q)
+    aq = alpha_q if isinstance(alpha_q, ad.Var) else tape.constant(alpha_q)
+    bq = beta_q if isinstance(beta_q, ad.Var) else tape.constant(beta_q)
     log_beta_p = ad.lgamma(alpha_p) + ad.lgamma(beta_p) - ad.lgamma(alpha_p + beta_p)
     log_beta_q = ad.lgamma(aq) + ad.lgamma(bq) - ad.lgamma(aq + bq)
     psi_ab = ad.digamma(alpha_p + beta_p)

@@ -20,12 +20,17 @@ a hand-written backward; its forward is the same `CouplingLayer.net_apply`
 that `inverse` runs.  Its values and gradients are bitwise those of the
 primitive composition (one-hot gather and scatter matmuls around matmul,
 add and activation nodes) that tests/test_flow.py keeps as an oracle.
-That needs the gathered columns C-ordered, as a matmul output is: they
-are taken with `compress`, because `z[:, mask]` returns an F-ordered copy
-for D >= 3, on which BLAS and sums round differently.  The shift MLP runs
-in place: each dense layer's matmul makes one fresh array, and the bias
-add and the activation overwrite it, which are the same floating-point
-operations as `h @ W + b` and `act(h)`.
+A layer keeps its pass and shift columns as slices when the mask's columns
+are evenly spaced (every `build_flow` mask is) and as index arrays
+otherwise, so a gather is a strided view copied once and a scatter an
+in-place add through a view.  Gathered columns must be C-ordered, as a
+matmul output is, so the node copies them with `np.ascontiguousarray`;
+`inverse` keeps them F-ordered, the layout boolean indexing gave it, since
+BLAS and sums round differently on the two layouts.  A data batch enters
+the tape as a constant, so the first coupling computes no input gradient.
+The shift MLP runs in place: each dense layer's matmul makes one fresh
+array, and the bias add and the activation overwrite it, which are the
+same floating-point operations as `h @ W + b` and `act(h)`.
 
 The sigmoid squash is two tape nodes, a log-det node and a sigmoid node,
 that share one exp(-|u|) (see `_squash`); together they are bitwise the
@@ -38,7 +43,8 @@ The numpy entry points (`FlowModel.forward`, and `DensityEstimator`'s
 `log_likelihood`, `latent` and `sample`) run the flow in row blocks of
 `EVAL_ROWS` = 4096 on an evaluation tape that keeps no record.  At that
 size one coupling intermediate of width 50 is 4096 x 50 x 8 B = 1.6 MB,
-which stays in a 4 MiB L2 cache, and memory no longer grows with the
+which fits in a 2 MiB per-core L2 cache (`lscpu` on a 2-CPU x86 host
+reports 4 MiB of L2 over 2 instances), and memory no longer grows with the
 number of query points.  Training batches and validation splits of up to
 4096 rows are one block, so training numerics do not depend on blocking.
 Larger inputs agree with an unblocked evaluation to about 1e-14 absolute
@@ -62,6 +68,16 @@ EVAL_ROWS = 4096      # rows per block of numpy-side flow evaluation
 ACTIVATIONS = ("tanh", "relu")
 
 
+def _columns(mask):
+    """The True positions of a 1-D bool mask: a slice when evenly spaced, else an index array."""
+    cols = np.flatnonzero(mask)
+    steps = np.diff(cols)
+    if steps.size and (steps != steps[0]).any():
+        return cols
+    step = int(steps[0]) if steps.size else 1
+    return slice(int(cols[0]), int(cols[-1]) + 1, step)
+
+
 def _row_blocks(n):
     """Slices of at most EVAL_ROWS rows covering range(n); one empty slice if n is 0."""
     return [slice(i, i + EVAL_ROWS) for i in range(0, max(n, 1), EVAL_ROWS)]
@@ -69,7 +85,12 @@ def _row_blocks(n):
 
 @dataclass
 class CouplingLayer:
-    """Additive coupling: coordinates where mask is True drive a shift of the rest."""
+    """Additive coupling: coordinates where mask is True drive a shift of the rest.
+
+    `pass_cols` and `shift_cols` select the True and False columns of the
+    mask (see `_columns`); they are derived once, so the mask is not
+    reassigned after construction.
+    """
 
     mask: np.ndarray                  # bool (D,)
     weights: list                     # [W0, b0, W1, b1, ...] dense MLP stack
@@ -81,6 +102,7 @@ class CouplingLayer:
             raise ValueError("coupling mask must pass some and shift some coordinates")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation: {self.activation}")
+        self.pass_cols, self.shift_cols = _columns(self.mask), _columns(~self.mask)
 
     def net_apply(self, h, weights=None, hidden=None):
         """The shift MLP on pass-through coordinates `h` (one row per point).
@@ -147,7 +169,7 @@ class FlowModel:
 
         `x` may be an (N, D) array or an existing Var.  log_det is (N,).
         """
-        z = x if isinstance(x, ad.Var) else tape.leaf(np.asarray(x, dtype=np.float64))
+        z = x if isinstance(x, ad.Var) else tape.constant(x)
         log_det = None                # no node until a layer changes volume
         layer_vars = iter([pvars[k] for k in self.parameter_arrays()])
         for i, layer in enumerate(self.layers):
@@ -193,8 +215,7 @@ class FlowModel:
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
             if isinstance(layer, CouplingLayer):
-                shift = layer.net_apply(x[:, layer.mask])
-                x[:, ~layer.mask] -= shift
+                x[:, layer.shift_cols] -= layer.net_apply(np.asfortranarray(x[:, layer.pass_cols]))
             elif isinstance(layer, ScalingLayer):
                 x /= np.exp(layer.log_scale)
             elif isinstance(layer, SigmoidLayer):
@@ -220,27 +241,31 @@ def _couple(tape, layer, z, weights):
     `z` and `weights` ([W0, b0, W1, b1, ...]) are Vars.  The backward runs,
     on the same array layouts, each floating-point operation the primitive
     nodes' callbacks would (see the module docstring), so gradients stay
-    bitwise equal to theirs.
+    bitwise equal to theirs; for a constant `z` it skips the input gradient.
     """
-    mask, zv = layer.mask, z.value
+    pass_cols, shift_cols, zv = layer.pass_cols, layer.shift_cols, z.value
     wv = [w.value for w in weights]
-    inputs = [zv.compress(mask, axis=1)]          # each dense layer's input
+    inputs = [np.ascontiguousarray(zv[:, pass_cols])]   # each dense layer's input
     shift = layer.net_apply(inputs[0], wv, inputs)
     out = zv.copy()
-    out[:, ~mask] += shift
+    out[:, shift_cols] += shift
     tanh = layer.activation == "tanh"
+    input_grad = z.index is not None
 
     def vjp(g):
         grads = []
-        gh = g.compress(~mask, axis=1)
+        gh = np.ascontiguousarray(g[:, shift_cols])
         for k in reversed(range(len(inputs))):
             a = inputs[k]
             grads += [gh.sum(axis=0), a.T @ gh]   # b_k, W_k
-            gh = gh @ wv[2 * k].T
+            if k or input_grad:
+                gh = gh @ wv[2 * k].T
             if k:
                 gh = gh * (1.0 - a * a) if tanh else gh * (a > 0.0)
-        gz = g.copy()
-        gz[:, mask] += gh
+        gz = None
+        if input_grad:
+            gz = g.copy()
+            gz[:, pass_cols] += gh
         return (gz, *reversed(grads))
 
     return tape.record(out, (z.index, *(w.index for w in weights)), vjp)
@@ -356,8 +381,7 @@ class DensityEstimator:
         return params
 
     def log_likelihood_vars(self, tape, pvars, x, **base_kwargs):
-        """(log density, latent) at data points x: (N,) and (N, D) Vars; the latent is
-        what the base read, the flow's output clamped to the unit cube behind a sigmoid."""
+        """(N,) Var of log model density at data points x."""
         flow_vars = {k[5:]: v for k, v in pvars.items() if k.startswith("flow/")}
         base_vars = {k[6:]: v for k, v in pvars.items() if k.startswith("prior/")}
         z, log_det = self.flow.forward_vars(tape, flow_vars, x)
@@ -366,7 +390,7 @@ class DensityEstimator:
         if self.smooth_base:
             base_kwargs = {**base_kwargs, "smooth": True}
         base_ll = self.base.log_density_vars(tape, base_vars, z, **base_kwargs)
-        return base_ll + log_det, z
+        return base_ll + log_det
 
     def log_likelihood(self, x, **base_kwargs):
         """Numpy wrapper: (N,) array of log densities.

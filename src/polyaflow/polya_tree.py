@@ -338,6 +338,12 @@ class PolyaTreeModel:
             self._route_column(x[:, d], bounds[d], leaf[:, d])
         return leaf
 
+    def _cells(self, x):
+        """(N, D) flat indices, into a (D, K) leaf table, of the leaves `x` reaches."""
+        cells = self.route(x.value if isinstance(x, ad.Var) else x)
+        cells += np.arange(self.dims) * self.n_leaves
+        return cells
+
     def leaf_of(self, dim, x):
         """Full assignment (path bits, leaf index, interval) of scalar x in one dimension."""
         if not 0 <= dim < self.dims:
@@ -365,13 +371,16 @@ class PolyaTreeModel:
             return np.log(y), np.log1p(-y)
         raise ValueError(f"unknown y_mode: {y_mode}")
 
-    def _leaf_table(self, tape, pvars, log_ys=None):
+    def _leaf_table(self, tape, pvars, log_ys=None, seen=None):
         """(D, K) Var of leaf log densities, recorded as one node.
 
         Its value is `_sum_down` of (ln Y, ln(1-Y)) minus that of the log split
         proportions; `log_ys` is a sampled-mode draw, or None for the posterior
         mean, whose raw alphas are then parents unless they are constants
-        (plain arrays, as in conjugate training).  The vjp sums g up the tree
+        (plain arrays, as in conjugate training).  Given a list `seen`, the
+        posterior-mean alphas (alpha_left, alpha_right) are appended to it.
+        A table with no parents (dyadic, constant or sampled Y) is a tape
+        constant, so neither it nor its read runs a vjp.  The vjp sums g up the tree
         into per-node cL, cR: d/d raw_left = (cL/al - (cL+cR)/(al+ar))
         sigmoid(raw_left), likewise raw_right, and d/d s = cR sigmoid(s) -
         cL sigmoid(-s) per node (summed per level for per-level splits).
@@ -387,6 +396,8 @@ class PolyaTreeModel:
             al, ar = special.softplus(raw_l), special.softplus(raw_r)
             mean = (raw_l, raw_r, al, ar) if parents else None
             log_ys = _mean_log_ys(al, ar)
+            if seen is not None:
+                seen += [al, ar]
         table = _sum_down(*log_ys, levels)
         if self.partition_mode == "dyadic":
             table -= -levels * np.log(2.0)
@@ -419,29 +430,29 @@ class PolyaTreeModel:
         return self._leaf_table(tape, pvars, self._sampled_log_ys(y_mode, rng))
 
     def log_density_vars(self, tape, pvars, x, y_mode="posterior-mean", rng=None,
-                         smooth=False):
+                         smooth=False, seen=None):
         """Per-point log density as an (N,) Var.
 
         `x` may be a plain array or a Var (e.g. the output of a flow); in
         the latter case `smooth=True` additionally gives the coordinates a
         gradient by interpolating leaf log densities between leaf centers.
+        Given a list `seen`, the (N, D) flat cells the points reached and,
+        in posterior-mean mode, the alphas of the table are appended to it,
+        the inputs of `refresh_alphas`.
         """
-        leaf = self.route(x.value if isinstance(x, ad.Var) else x)
-        table = self.leaf_log_densities_vars(tape, pvars, y_mode, rng)
-        return self._read_leaves(table, x, leaf, smooth)
+        cells = self._cells(x)
+        if seen is not None:
+            seen.append(cells)
+        table = self._leaf_table(tape, pvars, self._sampled_log_ys(y_mode, rng), seen)
+        return self._read_leaves(table, x, cells, smooth)
 
-    def _read_leaves(self, table, x, leaf, smooth):
-        """(N,) Var: the (D, K) leaf log densities `table` looked up at points routed to `leaf`.
-
-        `leaf` is a fresh `route` result owned by the caller.  The
-        non-smooth lookup offsets it in place into flat indices of the table
-        (no second (N, D) index array) for `read_cells`.
-        """
+    def _read_leaves(self, table, x, cells, smooth):
+        """(N,) Var: the (D, K) leaf log densities `table` read at (N, D) flat `cells`."""
         K = self.n_leaves
         if not smooth:
-            leaf += np.arange(self.dims) * K
-            return read_cells(table, leaf)
+            return read_cells(table, cells)
 
+        leaf = cells - np.arange(self.dims) * K
         x_values = np.asarray(x.value if isinstance(x, ad.Var) else x,
                               dtype=np.float64).reshape(leaf.shape)
         bounds = self.leaf_boundaries()
@@ -476,7 +487,7 @@ class PolyaTreeModel:
         With an empty batch only the prior term remains.  In sampled mode
         both terms use the same draw of Y.
         """
-        leaf = self.route(x.value if isinstance(x, ad.Var) else x)
+        cells = self._cells(x)
         draw = self._sampled_log_ys(y_mode, rng)
         al = ad.softplus(pvars["raw_left"])
         ar = ad.softplus(pvars["raw_right"])
@@ -486,10 +497,10 @@ class PolyaTreeModel:
         else:
             log_y, log_1y = draw
         prior = ((al - 1.0) * log_y + (ar - 1.0) * log_1y).sum()
-        if leaf.shape[0] == 0:
+        if cells.shape[0] == 0:
             return prior
         table = self._leaf_table(tape, pvars, draw)
-        return self._read_leaves(table, x, leaf, smooth=False).sum() + prior
+        return self._read_leaves(table, x, cells, smooth=False).sum() + prior
 
     def log_joint_posterior(self, x, y_mode="posterior-mean", rng=None):
         return float(ad.evaluate(self.log_joint_posterior_vars, self.parameter_arrays(),
@@ -498,15 +509,21 @@ class PolyaTreeModel:
     # -- conjugate updates, sampling, uncertainty -------------------------
 
     def branch_counts(self, x):
-        """Left/right routing counts per node: two (D, n_nodes) int arrays.
+        """Left/right routing counts per node: two (D, n_nodes) int arrays."""
+        return self._cell_counts(self._cells(x))
 
-        One bincount gives the (D, K) leaf counts, and `_sum_up` sums them
-        up the tree.
-        """
-        leaf = self.route(x)
-        leaf += np.arange(self.dims) * self.n_leaves
-        counts = np.bincount(leaf.reshape(-1), minlength=self.dims * self.n_leaves)
+    def _cell_counts(self, cells):
+        """Left/right counts per node of (N, D) flat cells: one bincount gives the
+        (D, K) leaf counts, and `_sum_up` sums them up the tree."""
+        counts = np.bincount(cells.reshape(-1), minlength=self.dims * self.n_leaves)
         return _sum_up(counts.reshape(self.dims, self.n_leaves), self.levels)
+
+    def _conjugate_raws(self, cells, prior_alphas, count_scale):
+        """Raw (left, right) alphas of prior + scale * counts in the (N, D) flat `cells`."""
+        if np.isscalar(prior_alphas):
+            prior_alphas = (float(prior_alphas),) * 2
+        return [special.inv_softplus(prior + count_scale * counts)
+                for prior, counts in zip(prior_alphas, self._cell_counts(cells))]
 
     def conjugate_update(self, x, prior_alphas=1.0, count_scale=1.0):
         """Closed-form Beta-Binomial refresh: alpha = prior + scale * counts.
@@ -515,19 +532,19 @@ class PolyaTreeModel:
         is a scalar or a pair of (D, n_nodes) arrays for the left/right
         prior pseudo-counts.
         """
-        counts_left, counts_right = self.branch_counts(x)
-        if np.isscalar(prior_alphas):
-            prior_left = prior_right = float(prior_alphas)
-        else:
-            prior_left, prior_right = prior_alphas
-        alpha_left = prior_left + count_scale * counts_left
-        alpha_right = prior_right + count_scale * counts_right
-        return replace(
-            self,
-            raw_left=special.inv_softplus(alpha_left),
-            raw_right=special.inv_softplus(alpha_right),
-            split_raw=None if self.split_raw is None else self.split_raw.copy(),
-        )
+        raw_left, raw_right = self._conjugate_raws(self._cells(x), prior_alphas, count_scale)
+        return replace(self, raw_left=raw_left, raw_right=raw_right,
+                       split_raw=None if self.split_raw is None else self.split_raw.copy())
+
+    def refresh_alphas(self, cells, prior_alphas, count_scale):
+        """`conjugate_update` in place, from cells a density already routed.
+
+        `cells` are the (N, D) flat cells `log_density_vars` appended to its
+        `seen` list; the raw alphas are overwritten, not rebound, so arrays
+        that share their memory (an estimator's `theta`) see the refresh.
+        """
+        self.raw_left[...], self.raw_right[...] = self._conjugate_raws(
+            cells, prior_alphas, count_scale)
 
     def sample_branch_probabilities(self, rng):
         """One Beta draw per node: a (D, n_nodes) random branching measure."""

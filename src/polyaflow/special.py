@@ -158,10 +158,17 @@ def inv_softplus(y):
     arr = np.asarray(y, dtype=np.float64)
     if arr.size and not np.all(arr > 0.0):
         raise ValueError("inv_softplus requires strictly positive arguments")
-    # each branch sees its own side of 30 only, so neither can overflow
-    hi = np.maximum(arr, 30.0)
-    lo = np.minimum(arr, 30.0)
-    out = np.where(arr > 30.0, hi + np.log1p(-np.exp(-hi)), np.log(np.expm1(lo)))
+    # each branch runs on its own side of 30 only, so neither can overflow
+    big = arr > 30.0
+    small = ~big
+    out = np.empty(arr.shape)
+    hi, lo = arr[big], arr[small]
+    tail = np.exp(-hi)
+    np.negative(tail, out=tail)
+    np.log1p(tail, out=tail)
+    out[big] = hi + tail
+    np.expm1(lo, out=lo)
+    out[small] = np.log(lo, out=lo)
     return float(out) if np.ndim(y) == 0 else out
 
 

@@ -5,8 +5,9 @@ reverse sweep, and applies Adam in place to the estimator's parameter
 vector `theta`: its first `n_flow` entries, the flow's, take `lr_flow`, and
 the base's ("prior") take `lr_prior`.  With `conjugate=True` (tree bases
 only) the raw alphas are tape constants, set by a blended closed-form
-Beta-Binomial refresh from the latents the loss computed (one flow pass per
-step, as in stochastic variational inference); Adam steps flow and splits.
+Beta-Binomial refresh that counts the cells the loss read and blends the
+alphas it used (one flow pass and one routing per step, as in stochastic
+variational inference); Adam steps flow and splits.
 """
 
 import time
@@ -151,6 +152,9 @@ def train(config, dataset, rng=None, estimator=None):
 
     if config.conjugate and not isinstance(estimator.base, PolyaTreeModel):
         raise ValueError(f"conjugate mode needs a tree base, got {type(estimator.base).__name__}")
+    if config.conjugate and config.kl_weight > 0.0:
+        raise ValueError("conjugate mode sets the alphas in closed form, so a KL weight has "
+                         f"nothing to act on: kl_weight must be 0, got {config.kl_weight}")
     optimizer = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
     theta, n_flow = estimator.theta, estimator.n_flow
     if not all(np.may_share_memory(v, theta) for v in estimator.parameter_arrays().values()):
@@ -217,21 +221,26 @@ def train(config, dataset, rng=None, estimator=None):
     theta[...] = best_saved
     report.final = {"val_nll": best_val}
     if dataset.test.shape[0]:
-        report.final["test_nll"] = -avg_log_likelihood(estimator, dataset.test)
-        report.final["test_bpd"] = bits_per_dim(estimator, dataset.test)
+        test_nll = -avg_log_likelihood(estimator, dataset.test)
+        report.final["test_nll"] = test_nll
+        report.final["test_bpd"] = nats_to_bits_per_dim(test_nll, dataset.dims)
     return estimator, report
 
 
 def _step(estimator, optimizer, lr, xb, config, n_train):
     """One gradient (and optionally conjugate) update; returns (loss, data NLL).
 
-    In conjugate mode the raw alphas are tape constants, the refresh reads the
-    loss's latents in the loss's cells, then Adam steps the flow and splits."""
+    In conjugate mode the raw alphas are tape constants.  The tree hands back
+    the flat cells the loss read and the alphas its table used, and the refresh
+    counts those cells and blends those alphas, writing the raw alphas in place
+    (before Adam steps the flow and splits, which the loss routed through)."""
     tape = ad.Tape()
     alphas = ("prior/raw_left", "prior/raw_right") if config.conjugate else ()
     pvars = {k: v if k in alphas else tape.leaf(v)
              for k, v in estimator.parameter_arrays().items()}
-    ll, z = estimator.log_likelihood_vars(tape, pvars, xb)
+    seen = []                     # the loss's cells and alphas, in conjugate mode
+    ll = estimator.log_likelihood_vars(tape, pvars, xb,
+                                       **({"seen": seen} if config.conjugate else {}))
     loss = -ll.mean()
     data_nll = float(loss.value)
     if config.kl_weight > 0.0 and isinstance(pvars.get("prior/raw_left"), ad.Var):
@@ -241,14 +250,11 @@ def _step(estimator, optimizer, lr, xb, config, n_train):
     ad.backward(loss)
     if config.conjugate:
         # blend * alpha + (1 - blend) * (1 + scale * counts), in alpha space
-        base = estimator.base
+        cells, *loss_alphas = seen
         blend = config.conjugate_blend
-        refreshed = base.conjugate_update(
-            z.value,
-            prior_alphas=[blend * alpha + (1.0 - blend) for alpha in base.alphas()],
-            count_scale=(1.0 - blend) * n_train / xb.shape[0])
-        base.raw_left[...] = refreshed.raw_left
-        base.raw_right[...] = refreshed.raw_right
+        estimator.base.refresh_alphas(
+            cells, [blend * alpha + (1.0 - blend) for alpha in loss_alphas],
+            (1.0 - blend) * n_train / xb.shape[0])
     on_tape = [isinstance(v, ad.Var) for v in pvars.values()]   # Adam steps a prefix
     assert on_tape == sorted(on_tape, reverse=True), "tape constants must end theta"
     grad = np.concatenate([v.grad.reshape(-1) for v in pvars.values()
@@ -271,7 +277,12 @@ def avg_log_likelihood(estimator, x):
 def bits_per_dim(estimator, x):
     """-avg_log_likelihood converted to base-2 bits per coordinate."""
     x = np.asarray(x, dtype=np.float64)
-    return -avg_log_likelihood(estimator, x) / (x.shape[1] * np.log(2.0))
+    return nats_to_bits_per_dim(-avg_log_likelihood(estimator, x), x.shape[1])
+
+
+def nats_to_bits_per_dim(nll, dims):
+    """An NLL in nats per point as base-2 bits per coordinate."""
+    return nll / (dims * np.log(2.0))
 
 
 def sse_calibration(estimator, x, rng, n_samples=10000):

@@ -254,7 +254,7 @@ def test_criterion_05_gradient_suite(capsys):
             assert cand.shape[0] >= 3, "too few boundary-safe points"
         else:
             cand = cand[:4]
-        run(lambda tape, pv, e=est, x=cand: e.log_likelihood_vars(tape, pv, x)[0].sum(),
+        run(lambda tape, pv, e=est, x=cand: e.log_likelihood_vars(tape, pv, x).sum(),
             est.parameter_arrays())
 
     for i in range(10):                                   # Beta KL

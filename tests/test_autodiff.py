@@ -312,6 +312,31 @@ class TestConstants:
         ad.backward(y.sum())
         np.testing.assert_array_equal(x.grad, [1.5, 2.0])
 
+    def test_operations_on_constants_are_constants(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([1.0, 2.0]))
+        data = tape.constant([3.0, 4.0])
+        scaled = ad.exp(data * 2.0).sum()          # no operand is a node
+        y = (x * data).sum() + scaled
+        assert data.index is None and scaled.index is None
+        assert len(tape) == 4                      # the leaf, mul, sum and add
+        ad.backward(y)
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+        np.testing.assert_array_equal(data.grad, [0.0, 0.0])
+        assert scaled.grad == 0.0
+
+    def test_backward_of_a_constant_loss_leaves_zero_gradients(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([1.0, 2.0]))
+        loss = ad.log(tape.constant([2.0, 5.0])).sum()
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+        assert loss.grad == 0.0
+
+    def test_constant_checks_finiteness(self):
+        with pytest.raises(ad.NumericError):
+            ad.Tape().constant([1.0, np.inf])
+
     @pytest.mark.parametrize("op, constant", [(ad.div, np.inf), (ad.add, np.array([np.nan]))])
     def test_non_finite_constant_raises(self, op, constant):
         for tape in (ad.Tape(), ad.EvalTape()):

@@ -1,6 +1,7 @@
 """Checkpoint round-trips and the command-line interface."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -190,6 +191,19 @@ class TestCliWorkflow:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_eval_of_both_metrics_runs_the_flow_once(self, tmp_path, capsys, monkeypatch):
+        model = _train_small(tmp_path)
+        calls = []
+        forward = FlowModel.forward
+        monkeypatch.setattr(FlowModel, "forward", lambda self, x: calls.append(1) or
+                            forward(self, x))
+        capsys.readouterr()
+        assert main(["eval", "--data", "synthetic:eight_gaussians", "--n", "300",
+                     "--model", model, "--metric", "both"]) == 0
+        nll, bpd = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+        assert len(calls) == 1
+        assert bpd == {"metric": "bpd", "value": nll["value"] / (2 * np.log(2.0))}
+
     def test_sample_applies_standardization_record(self, tmp_path, capsys):
         model = str(tmp_path / "shifted.json")
         flow = build_flow(2, n_coupling=1, hidden=(4,),
@@ -229,6 +243,15 @@ class TestCliErrors:
         rc = main(["variance", "--model", model])
         assert rc == 1
         assert "tree prior" in capsys.readouterr().err
+
+    def test_conjugate_rejects_a_kl_weight(self, tmp_path, capsys):
+        rc = main(["train", "--data", "synthetic:checkerboard", "--n", "300", "--conjugate",
+                   "--kl-weight", "1", "--epochs", "1", "--out", str(tmp_path / "t.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: conjugate mode sets the alphas in closed form" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "t.json").exists()
 
     def test_conjugate_needs_tree_prior(self, tmp_path, capsys):
         rc = main(["train", "--data", "synthetic:eight_gaussians", "--n", "300",
@@ -460,6 +483,38 @@ class TestCheckpointValidation:
         path = tmp_path / "g.json"
         save_checkpoint(path, est, config=cfg, seed=1)
         assert load_checkpoint(path).config == cfg
+
+    def test_conjugate_config_with_a_kl_weight_loads(self, tmp_path):
+        # `train` rejects this combination too; a checkpoint recording it still loads
+        est = DensityEstimator(build_flow(2, n_coupling=1, hidden=(4,), sigmoid=True),
+                               PolyaTreeModel.uniform(3, 2))
+        cfg = TrainConfig(hidden=(4,), conjugate=True, kl_weight=2.0)
+        path = tmp_path / "t.json"
+        save_checkpoint(path, est, config=cfg, seed=1)
+        assert load_checkpoint(path).config == cfg
+
+    # Documents that once escaped validation as AttributeError, KeyError or TypeError
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: [d], "checkpoint: expected an object, got list", id="list-root"),
+        pytest.param(lambda d: d.pop("flow") and d, "flow: missing", id="flow-missing"),
+        pytest.param(lambda d: d.pop("prior") and d, "prior: missing", id="prior-missing"),
+        pytest.param(lambda d: {**d, "flow": "coupling"}, "flow: expected an object, got str",
+                     id="flow-string"),
+        pytest.param(lambda d: _set(d, ("flow", "layers", 0), None) or d,
+                     r"flow\.layers\[0\]: expected an object, got null", id="layer-null"),
+        pytest.param(lambda d: d["standardization"].pop("mean") and d,
+                     r"standardization\.mean: missing", id="standardization-mean-missing"),
+    ])
+    def test_malformed_document_names_the_field(self, tmp_path, capsys, edit, message):
+        doc, path = _saved_doc(tmp_path)
+        path.write_text(json.dumps(edit(doc)))
+        with pytest.raises(ValueError, match="^" + message):
+            load_checkpoint(path)
+        assert main(["eval", "--model", str(path), "--data", "synthetic:eight_gaussians",
+                     "--n", "300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert re.match("error: " + message, err)
 
 
 class TestEvalSeedDefault:

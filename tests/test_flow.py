@@ -143,7 +143,7 @@ class TestGradients:
 
         def build(tape, leaves):
             pvars = dict(zip(keys, leaves))
-            return est.log_likelihood_vars(tape, pvars, x)[0].sum()
+            return est.log_likelihood_vars(tape, pvars, x).sum()
 
         check_gradients(build, arrays, tol=1e-4)
 
@@ -156,7 +156,7 @@ class TestGradients:
 
         def build(tape, leaves):
             pvars = dict(zip(keys, leaves))
-            return est.log_likelihood_vars(tape, pvars, x)[0].sum()
+            return est.log_likelihood_vars(tape, pvars, x).sum()
 
         check_gradients(build, list(est.parameter_arrays().values()), tol=1e-4)
 
@@ -215,6 +215,47 @@ class TestCouplingNode:
         for got, want in zip(got_grads, want_grads):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mask, strided", [
+        ([True, False, False, True, False, False, True], True),   # every third column
+        ([False, True, True, True, False], True),                 # a contiguous block
+        ([True, True, False, True, False], False),                # unevenly spaced
+    ])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_any_mask_matches_the_composition(self, mask, strided, activation):
+        rng = np.random.default_rng(len(mask) * 10 + strided)
+        mask = np.array(mask)
+        sizes = [int(mask.sum()), 9, 7, int((~mask).sum())]
+        weights = []
+        for a, b in zip(sizes[:-1], sizes[1:]):
+            weights += [rng.standard_normal((a, b)), 0.3 * rng.standard_normal(b)]
+        layer = CouplingLayer(mask, weights, activation)
+        assert isinstance(layer.pass_cols, slice) == strided
+        x = rng.standard_normal((EVAL_ROWS + 1, mask.size))
+        upstream = rng.standard_normal(x.shape)
+        got_value, got_grads = _coupling_on_tape(layer, x, upstream, oracle=False)
+        want_value, want_grads = _coupling_on_tape(layer, x, upstream, oracle=True)
+        assert got_value.tobytes() == want_value.tobytes()
+        for got, want in zip(got_grads, want_grads):
+            assert got.tobytes() == want.tobytes()
+        flow = FlowModel(mask.size, [layer])
+        np.testing.assert_allclose(flow.inverse(flow.forward(x)[0]), x, rtol=0, atol=1e-13)
+
+    def test_constant_input_gets_no_gradient(self):
+        # a data batch enters as a constant: the weights' gradients are unchanged
+        rng = np.random.default_rng(4)
+        layer = _random_coupling(rng, 8, "relu", 1)
+        x = rng.standard_normal((50, 8))
+        upstream = rng.standard_normal((50, 8))
+        _, want = _coupling_on_tape(layer, x, upstream, oracle=False)
+        tape = ad.Tape()
+        weights = [tape.leaf(w) for w in layer.weights]
+        pvars = {f"c0_{'W' if j % 2 == 0 else 'b'}{j // 2}": w for j, w in enumerate(weights)}
+        out, _ = FlowModel(8, [layer]).forward_vars(tape, pvars, x)
+        assert len(tape) == len(weights) + 1 + 1     # the weights, the coupling, a zero log-det
+        ad.backward((out * upstream).sum())
+        for w, ref in zip(weights, want[1:]):
+            assert w.grad.tobytes() == ref.tobytes()
 
     def test_one_node_per_coupling(self):
         rng = np.random.default_rng(3)
@@ -381,7 +422,7 @@ def _recorded_log_likelihood(est, x, chunk, y_mode):
         tape = ad.Tape()
         pvars = {k: tape.leaf(v) for k, v in est.parameter_arrays().items()}
         out.append(est.log_likelihood_vars(tape, pvars, x[start:start + chunk], y_mode=y_mode,
-                                           rng=np.random.default_rng(5))[0].value)
+                                           rng=np.random.default_rng(5)).value)
     return np.concatenate(out)
 
 

@@ -765,9 +765,10 @@ def composite_log_density(model, tape, pvars, x, y_mode="posterior-mean", rng=No
                           smooth=False):
     leaf = model.route(x.value if isinstance(x, ad.Var) else x)
     table, _ = composite_leaf_table(model, tape, pvars, y_mode, rng)
+    cells = leaf + np.arange(model.dims) * model.n_leaves
     if smooth:
-        return model._read_leaves(table, x, leaf, smooth=True)
-    return ad.take(table, leaf + np.arange(model.dims) * model.n_leaves).sum(axis=1)
+        return model._read_leaves(table, x, cells, smooth=True)
+    return ad.take(table, cells).sum(axis=1)
 
 
 def composite_log_joint_posterior(model, tape, pvars, x, y_mode="posterior-mean", rng=None):
@@ -854,14 +855,20 @@ class TestTreeNodes:
 
     @pytest.mark.parametrize("mode", ["dyadic", "per-level", "per-node"])
     def test_two_nodes_per_density(self, mode):
+        # a sampled dyadic table has no parents: it and its read are tape constants
         model = random_model(np.random.default_rng(1), levels=3, dims=2, mode=mode)
         x = np.random.default_rng(2).uniform(1e-9, 1.0, (50, 2))
         for y_mode in ["posterior-mean", "sampled"]:
+            constant = mode == "dyadic" and y_mode == "sampled"
             run = tree_on_tape(
                 lambda t, p, xv: model.log_density_vars(t, p, xv, y_mode=y_mode,
                                                         rng=np.random.default_rng(0)),
                 model, x, np.ones(50))
-            assert run[3] == 2
+            assert run[3] == (0 if constant else 2)
+            tape = ad.Tape()
+            pvars = {k: tape.leaf(v) for k, v in model.parameter_arrays().items()}
+            table = model.leaf_log_densities_vars(tape, pvars, y_mode, np.random.default_rng(0))
+            assert (table.index is None) == constant
         oracle = tree_on_tape(lambda t, p, xv: composite_log_density(model, t, p, xv),
                               model, x, np.ones(50))
         assert oracle[3] == {"dyadic": 14, "per-node": 20, "per-level": 21}[mode]
@@ -870,7 +877,7 @@ class TestTreeNodes:
     @pytest.mark.parametrize("smooth", [False, True])
     def test_constant_alphas_record_no_alpha_parents(self, mode, smooth):
         # conjugate training passes the raw alphas as plain arrays: same values and
-        # split gradients, no alpha closed forms, and a dyadic table with no parents
+        # split gradients, no alpha closed forms, and a dyadic table that is a constant
         model = extreme_model(3, 2, mode, np.random.default_rng(6), "posterior-mean")
         x = np.random.default_rng(7).uniform(1e-9, 1.0, (40, 2))
         weights = np.random.default_rng(8).uniform(0.5, 1.5, 40)
@@ -882,8 +889,10 @@ class TestTreeNodes:
                  for k, v in model.parameter_arrays().items()}
         xv = tape.leaf(x)
         table = model.leaf_log_densities_vars(tape, pvars)
-        assert tape._parents[table.index] == (() if mode == "dyadic" else
-                                              (pvars["split_raw"].index,))
+        if mode == "dyadic":
+            assert table.index is None
+        else:
+            assert tape._parents[table.index] == (pvars["split_raw"].index,)
         out = model.log_density_vars(tape, pvars, xv, smooth=smooth)
         ad.backward((out * weights).sum())
         assert out.value.tobytes() == want[0].tobytes()

@@ -126,6 +126,15 @@ def masked_inv_softplus(y):
     return float(out) if np.ndim(y) == 0 else out
 
 
+def where_inv_softplus(y):
+    """inv_softplus as it was before it split its branches: both on every entry."""
+    arr = np.asarray(y, dtype=np.float64)
+    hi = np.maximum(arr, 30.0)
+    lo = np.minimum(arr, 30.0)
+    out = np.where(arr > 30.0, hi + np.log1p(-np.exp(-hi)), np.log(np.expm1(lo)))
+    return float(out) if np.ndim(y) == 0 else out
+
+
 class TestSoftplusFamily:
     def test_softplus_values(self):
         assert special.softplus(0.0) == pytest.approx(np.log(2.0), abs=1e-15)
@@ -153,6 +162,16 @@ class TestSoftplusFamily:
         got = special.inv_softplus([[0.5, 31.0]])
         assert got.shape == (1, 2)
         assert got.tobytes() == masked_inv_softplus(np.array([[0.5, 31.0]])).tobytes()
+
+    def test_inv_softplus_bitwise_equals_both_branch_formula(self):
+        edges = [30.0, np.nextafter(30.0, 0.0), np.nextafter(30.0, 60.0), 5e-324, 1e-310,
+                 np.nextafter(2.2250738585072014e-308, 0.0), 1e300]
+        y = np.concatenate([edges, np.geomspace(1e-12, 1e4, 4998)]).reshape(-1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert special.inv_softplus(y).tobytes() == where_inv_softplus(y).tobytes()
+            for value in edges:
+                assert special.inv_softplus(value) == where_inv_softplus(value)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, -np.inf])
     def test_inv_softplus_rejects_non_positive(self, bad):
