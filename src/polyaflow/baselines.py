@@ -7,8 +7,11 @@ matching the tree convention, so a point on an edge belongs to the cell
 to its left.  When used as the base of a sigmoid-terminated flow the unit
 cube is stretched onto the histogram's own support (0, total_width] with
 the corresponding log-Jacobian.
-On a tape it reads its (K, D) cell log-density table with the Pólya
-tree's helpers, `route_cells` and `read_cells`; it samples with `sample_cells`.
+On a tape the histogram density is two nodes, like the tree's: the (K, D)
+cell log-density table, one node on the raw widths and logits with a
+closed-form vjp (`_cell_table`), and its read at each point's cells.  It
+routes and reads with the Pólya tree's helpers, `route_cells` and
+`read_cells`; it samples with `sample_cells`.
 """
 
 from dataclasses import dataclass
@@ -99,19 +102,13 @@ class LearnableHistogram:
             raise ValueError(f"points must be (N, {self.dims})")
         check_unit_cube(z_values)
 
-        widths = ad.softplus(pvars["raw_widths"])          # (K, D)
-        totals = widths.sum(axis=0)                        # (D,)
-        logits = pvars["raw_logits"]
-        shift = logits.value.max(axis=0)
-        log_norm = ad.log(ad.exp(logits - shift).sum(axis=0)) + shift
-        log_p = logits - log_norm                          # (K, D) log masses
-        table = (log_p - ad.log(widths)) + ad.log(totals)  # (K, D) cell log densities
+        table, widths = _cell_table(pvars["raw_widths"], pvars["raw_logits"])
 
         # stretch by the last cell edge, as `active_bin` and `sample` do: the
-        # summed `totals` can differ from it in the last bit.  z * edge lies in
+        # summed totals can differ from it in the last bit.  z * edge lies in
         # (0, edge] once floored above 0, so every cell found is in 0..K-1
         edges = np.zeros((self.bins + 1, self.dims))
-        edges[1:] = np.cumsum(widths.value, axis=0)
+        edges[1:] = np.cumsum(widths, axis=0)
         scaled = np.maximum(z_values * edges[-1], np.nextafter(0.0, 1.0))
         cells = np.empty(z_values.shape, dtype=np.int64)
         for d in range(self.dims):
@@ -130,6 +127,46 @@ class LearnableHistogram:
         """Unit-cube draws: `sample_cells` on the histogram's support, shrunk by its last edge."""
         edges = self.boundaries()
         return sample_cells(self.probabilities().T, edges.T, n, rng) / edges[-1]
+
+
+def _cell_table(raw_widths, raw_logits):
+    """((K, D) Var of cell log densities, (K, D) widths): one node on the raw Vars.
+
+    Cell k of dimension d has log density log p_k - log w_k + log T, where
+    w = softplus(raw_widths), T its column total and p the column softmax of
+    raw_logits, computed with a max-shifted log-sum-exp.  The value takes
+    the floating-point steps of the chain of primitives it replaces
+    (softplus, sum, sub, exp, sum, log, add, sub, log, sub, log, add), and
+    the vjp writes that chain's reverse pass in closed form, in its order:
+    with G the table gradient, S its column sum, e = exp(l - shift) and
+    s = sum_k e, d raw_logits = G - (S / s) e and
+    d raw_widths = (S / T - G / w) sigmoid(raw_widths).  So values and
+    gradients are bitwise those of the chain.
+
+    Two checks raise exactly where the chain did.  A width that underflows
+    to 0 fails `ad.log`'s domain check, with its message.  Every other
+    intermediate of the chain is finite when the raw parameters are (a
+    softplus of a finite value is finite, the shifted exponentials lie in
+    [0, 1], so s lies in [1, K] and log s in [0, log K]) except an
+    overflowing column total T or shifted logit l - shift.  Either makes
+    the table non-finite (log T = inf; l - (log s + shift) <= l - shift =
+    -inf), which the record's own check rejects.
+    """
+    rw, rl = raw_widths.value, raw_logits.value
+    widths = special.softplus(rw)
+    if np.any(widths <= 0.0):
+        raise ad.NumericError("log requires strictly positive input")
+    totals = widths.sum(axis=0)
+    shift = rl.max(axis=0)
+    e = np.exp(rl - shift)
+    s = e.sum(axis=0)
+    table = ((rl - (np.log(s) + shift)) - np.log(widths)) + np.log(totals)
+
+    def vjp(g):
+        col = g.sum(axis=0)
+        return (col / totals - g / widths) * special.sigmoid(rw), g - (col / s) * e
+
+    return raw_widths.tape.record(table, (raw_widths.index, raw_logits.index), vjp), widths
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .polya_tree import PARTITION_MODES, PolyaTreeModel
 from .train import TrainConfig
 
 SCHEMA_VERSION = 1
+MAX_LEVELS = 62       # a depth-L tree stores 2^L - 1 nodes per dimension; numpy sizes are int64
 
 
 @dataclasses.dataclass
@@ -137,7 +138,7 @@ def _flow_restore(payload):
         elif kind == "sigmoid":
             layers.append(SigmoidLayer())
         else:
-            raise ValueError(f"unknown flow layer type {kind!r} in checkpoint")
+            raise ValueError(f"{path}.type: unknown flow layer type {kind!r}")
     return FlowModel(dims, layers)
 
 
@@ -177,15 +178,17 @@ def _base_restore(payload, dims):
     if kind == "vpt":
         levels = _field(payload, "levels", "prior.levels", int)
         mode = _field(payload, "partition_mode", "prior.partition_mode")
-        if levels < 1:
-            raise ValueError(f"prior.levels: expected >= 1, got {levels}")
+        if not 1 <= levels <= MAX_LEVELS:
+            raise ValueError(f"prior.levels: expected 1 to {MAX_LEVELS}, got {levels}")
         if mode not in PARTITION_MODES:
             raise ValueError(f"prior.partition_mode: expected one of {PARTITION_MODES}, "
                              f"got {mode!r}")
         nodes = (dims, (1 << levels) - 1)
-        split = None
-        if _field(payload, "split_raw", "prior.split_raw") is not None:
+        split = _field(payload, "split_raw", "prior.split_raw")
+        if mode != "dyadic":
             split = floats("split_raw", (dims, levels) if mode == "per-level" else nodes)
+        elif split is not None:
+            raise ValueError("prior.split_raw: expected null on a dyadic tree")
         return PolyaTreeModel(levels, dims, floats("raw_left", nodes),
                               floats("raw_right", nodes), mode, split)
     if kind == "histogram":
@@ -195,7 +198,7 @@ def _base_restore(payload, dims):
                                   floats("raw_logits", cells))
     if kind in ("gaussian", "logistic"):
         return FixedPrior(kind, dims)
-    raise ValueError(f"unknown prior kind {kind!r} in checkpoint")
+    raise ValueError(f"prior.kind: unknown prior kind {kind!r}")
 
 
 def _config_restore(config):
@@ -206,7 +209,10 @@ def _config_restore(config):
     hidden = config.get("hidden", [])
     if not (isinstance(hidden, list) and all(isinstance(h, (int, float)) for h in hidden)):
         raise ValueError(f"config.hidden: expected a list of widths, got {hidden!r}")
-    return TrainConfig(**config)
+    try:
+        return TrainConfig(**config)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"config: {err}") from None
 
 
 def save_checkpoint(path, estimator, config=None, seed=None, standardization=None,
@@ -242,10 +248,8 @@ def load_checkpoint(path):
         doc = _typed(json.load(fh), "checkpoint", dict)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint schema version {version!r} "
-            f"(this build reads {SCHEMA_VERSION})"
-        )
+        raise ValueError(f"schema_version: unsupported checkpoint schema version {version!r} "
+                         f"(this build reads {SCHEMA_VERSION})")
     seed, smooth = doc.get("seed"), doc.get("smooth_base", False)
     if seed is not None and (type(seed) is not int or seed < 0):
         raise ValueError(f"seed: expected a non-negative integer or null, got {seed!r}")

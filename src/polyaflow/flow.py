@@ -57,6 +57,7 @@ L = 10.  The base density always runs once on the full input, so a
 sampled-mode base draws its tree once per call.
 """
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -362,6 +363,9 @@ class DensityEstimator:
     smooth_base: bool = False
 
     def __post_init__(self):
+        if self.smooth_base and "smooth" not in inspect.signature(self.base.log_density).parameters:
+            raise ValueError(f"smooth_base: a {type(self.base).__name__} base has no smooth "
+                             "read; only a tree base can be smooth")
         arrays = list(self.parameter_arrays().values())
         self.theta = np.concatenate([np.ravel(v) for v in arrays] or [np.empty(0)])
         parts = np.split(self.theta, np.cumsum([np.size(v) for v in arrays[:-1]], dtype=int))

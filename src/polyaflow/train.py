@@ -137,7 +137,9 @@ def train(config, dataset, rng=None, estimator=None):
     Returns (estimator, TrainReport).  The run is a pure function of
     (config, dataset, seed): reports and parameters reproduce bitwise.
     A non-finite loss, or any numeric failure on the tape during a step,
-    aborts with a RuntimeError naming epoch and batch.
+    aborts with a RuntimeError naming epoch and batch; a numeric failure
+    evaluating the validation or test split names the epoch whose
+    parameters it evaluated and the split.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     init_rng = np.random.default_rng(int(rng.integers(0, 2**63)))
@@ -192,13 +194,16 @@ def train(config, dataset, rng=None, estimator=None):
                 ema += (1.0 - config.polyak_decay) * theta
         report.train_nll.append(weighted_nll / n_train)
 
+        current = None
         if ema is not None:                       # validate the average, keep training theta
             current = theta.copy()
             theta[...] = ema
-        val_nll = (-avg_log_likelihood(estimator, x_val)
-                   if x_val.shape[0] else report.train_nll[-1])
-        if ema is not None:
-            theta[...] = current
+        try:
+            val_nll = (_split_nll(estimator, x_val, "validation", epoch)
+                       if x_val.shape[0] else report.train_nll[-1])
+        finally:
+            if current is not None:
+                theta[...] = current
         report.val_nll.append(val_nll)
         report.epoch_seconds.append(time.perf_counter() - tic)
 
@@ -221,10 +226,18 @@ def train(config, dataset, rng=None, estimator=None):
     theta[...] = best_saved
     report.final = {"val_nll": best_val}
     if dataset.test.shape[0]:
-        test_nll = -avg_log_likelihood(estimator, dataset.test)
+        test_nll = _split_nll(estimator, dataset.test, "test", report.best_epoch)
         report.final["test_nll"] = test_nll
         report.final["test_bpd"] = nats_to_bits_per_dim(test_nll, dataset.dims)
     return estimator, report
+
+
+def _split_nll(estimator, x, split, epoch):
+    """Mean NLL of a held-out split; a numeric failure raises RuntimeError naming both."""
+    try:
+        return -avg_log_likelihood(estimator, x)
+    except FloatingPointError as err:
+        raise RuntimeError(f"numeric failure at epoch {epoch}, {split} split: {err}") from err
 
 
 def _step(estimator, optimizer, lr, xb, config, n_train):

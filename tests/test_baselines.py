@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from polyaflow import autodiff as ad
-from polyaflow.baselines import FixedPrior, LearnableHistogram
+from polyaflow.baselines import FixedPrior, LearnableHistogram, _cell_table
 
 from helpers import check_gradients
 
@@ -212,8 +212,103 @@ class TestHistogramTable:
         # the scale bounds the summed terms' magnitudes
         scale = np.abs(weights).sum() / h.widths().min()
         np.testing.assert_allclose(width_grad, oracle[2], rtol=1e-12, atol=1e-12 * scale)
-        assert nodes == oracle[3] - 2
+        assert nodes == 6           # two leaves, the table and its read, the weighting and sum
         np.testing.assert_array_equal(h.log_density(z), value)
+
+
+def chain_cell_table(raw_widths, raw_logits):
+    """Oracle: the (K, D) cell log-density table as the chain of 12 primitives it was."""
+    widths = ad.softplus(raw_widths)
+    totals = widths.sum(axis=0)
+    shift = raw_logits.value.max(axis=0)
+    log_norm = ad.log(ad.exp(raw_logits - shift).sum(axis=0)) + shift
+    log_p = raw_logits - log_norm
+    return (log_p - ad.log(widths)) + ad.log(totals)
+
+
+class TestCellTableNode:
+    """The histogram's one-node cell table against the chain of primitives it replaced."""
+
+    @staticmethod
+    def _run(fn, raw_widths, raw_logits, weights):
+        """(table, d raw_widths, d raw_logits, nodes) of sum(weights * table), or the error."""
+        tape = ad.Tape()
+        rw, rl = tape.leaf(raw_widths), tape.leaf(raw_logits)
+        try:
+            table = fn(rw, rl)
+        except ad.NumericError as err:
+            return err
+        ad.backward((table * weights).sum())
+        return table.value, rw.grad, rl.grad, len(tape) - 4
+
+    @staticmethod
+    def _node(raw_widths, raw_logits):
+        return _cell_table(raw_widths, raw_logits)[0]
+
+    def _assert_as_the_chain(self, raw_widths, raw_logits, weights):
+        got = self._run(self._node, raw_widths, raw_logits, weights)
+        want = self._run(chain_cell_table, raw_widths, raw_logits, weights)
+        if isinstance(want, Exception):
+            assert isinstance(got, ad.NumericError), "the chain raised, the node did not"
+            return got
+        assert not isinstance(got, Exception), f"the node raised, the chain did not: {got}"
+        for g, w in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(g, w)
+        assert (got[3], want[3]) == (1, 12)
+        return None
+
+    @pytest.mark.parametrize("bins", [1, 3, 16])
+    @pytest.mark.parametrize("dims", [1, 2, 8])
+    def test_values_and_gradients_are_the_chain_bitwise(self, bins, dims):
+        rng = np.random.default_rng(1000 + 10 * bins + dims)
+        for scale in (1.0, 30.0):
+            raw_widths = rng.normal(0.0, scale, (bins, dims))
+            raw_logits = rng.normal(0.0, scale, (bins, dims))
+            counts = rng.integers(0, 50, (bins, dims)).astype(float)   # read_cells' bincounts
+            for weights in (rng.normal(size=(bins, dims)), counts):
+                assert self._assert_as_the_chain(raw_widths, raw_logits, weights) is None
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(31)
+        weights = rng.normal(size=(5, 3))
+
+        def build(tape, leaves):
+            return (self._node(*leaves) * weights).sum()
+
+        check_gradients(build, [rng.uniform(-2.0, 1.5, (5, 3)), rng.uniform(-1.5, 1.5, (5, 3))],
+                        tol=1e-6)
+
+    @pytest.mark.parametrize("case", [
+        "logits-span-overflows", "logits-span-fits", "total-overflows", "one-huge-width",
+        "subnormal-widths", "zero-width", "zero-width-and-total-overflow",
+    ])
+    def test_extreme_inputs_raise_or_pass_as_the_chain(self, case):
+        raw_widths, raw_logits = np.zeros((3, 2)), np.zeros((3, 2))
+        raises = True
+        if case == "logits-span-overflows":
+            raw_logits[:, 1] = [1e308, -1e308, 0.0]
+        elif case == "logits-span-fits":
+            raw_logits[:, 1] = [1e308, -7e307, 0.0]
+            raises = False
+        elif case == "total-overflows":
+            raw_widths[:2, 0] = 1e308
+        elif case == "one-huge-width":
+            raw_widths[0, 0] = 1e308
+            raises = False
+        elif case == "subnormal-widths":
+            raw_widths[:, 1] = -740.0
+            raises = False
+        elif case == "zero-width":
+            raw_widths[1, 0] = -800.0
+        else:
+            raw_widths[:2, 0] = 1e308
+            raw_widths[2, 1] = -800.0
+        weights = np.random.default_rng(7).uniform(-0.5, 0.5, (3, 2))   # a finite loss
+        with np.errstate(all="ignore"):
+            err = self._assert_as_the_chain(raw_widths, raw_logits, weights)
+        assert (err is not None) == raises
+        if case == "zero-width":
+            assert "log requires strictly positive input" in str(err)
 
 
 class TestZeroWidthCells:

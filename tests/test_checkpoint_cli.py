@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyaflow.baselines import FixedPrior, LearnableHistogram
 from polyaflow.checkpoint import SCHEMA_VERSION, load_checkpoint, save_checkpoint
@@ -504,6 +506,24 @@ class TestCheckpointValidation:
                      r"flow\.layers\[0\]: expected an object, got null", id="layer-null"),
         pytest.param(lambda d: d["standardization"].pop("mean") and d,
                      r"standardization\.mean: missing", id="standardization-mean-missing"),
+        # OverflowError from 1 << levels
+        pytest.param(lambda d: _set(d, ("prior", "levels"), 2**70) or d,
+                     r"prior\.levels: expected 1 to 62, got 1180591620717411303424",
+                     id="levels-huge"),
+        # messages that named no field
+        pytest.param(lambda d: _set(d, ("schema_version",), 2) or d,
+                     r"schema_version: unsupported checkpoint schema version 2", id="schema-2"),
+        pytest.param(lambda d: _set(d, ("flow", "layers", 1, "type"), "?") or d,
+                     r"flow\.layers\[1\]\.type: unknown flow layer type '\?'",
+                     id="layer-type-unknown"),
+        pytest.param(lambda d: _set(d, ("prior", "kind"), None) or d,
+                     r"prior\.kind: unknown prior kind None", id="prior-kind-null"),
+        pytest.param(lambda d: _set(d, ("prior", "split_raw"), None) or d,
+                     r"prior\.split_raw: expected shape \(2, 3\), got \(\)", id="split-null"),
+        pytest.param(lambda d: _set(d, ("prior", "partition_mode"), "dyadic") or d,
+                     r"prior\.split_raw: expected null on a dyadic tree", id="dyadic-split"),
+        pytest.param(lambda d: _set(d, ("config",), {"prior": None}) or d,
+                     r"config: prior must be one of", id="config-prior-null"),
     ])
     def test_malformed_document_names_the_field(self, tmp_path, capsys, edit, message):
         doc, path = _saved_doc(tmp_path)
@@ -515,6 +535,109 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert re.match("error: " + message, err)
+
+
+def _prior_doc(tmp_path, prior):
+    """A small checkpoint of each prior with every context field, as a JSON dict plus its path."""
+    rng = np.random.default_rng(21)
+    if prior == "vpt":
+        base = PolyaTreeModel.uniform(2, 2, "per-node")
+    elif prior == "histogram":
+        base = LearnableHistogram.uniform(3, 2)
+    else:
+        base = FixedPrior(prior, 2)
+    flow = build_flow(2, n_coupling=1, hidden=(2,), sigmoid=prior in ("vpt", "histogram"),
+                      rng=rng)
+    est = DensityEstimator(flow, base)
+    est.theta += rng.normal(0.0, 0.2, est.theta.shape)
+    path = tmp_path / f"{prior}.json"
+    save_checkpoint(path, est, config=TrainConfig(prior=prior, levels=2, hidden=(2,)), seed=5,
+                    standardization=(np.array([0.5, -1.0]), np.array([2.0, 0.25])),
+                    summary={"val_nll": 1.5})
+    return json.loads(path.read_text()), path
+
+
+class TestSmoothBaseNeedsATree:
+    """`smooth_base` on a histogram or fixed prior once loaded and failed in evaluation."""
+
+    def test_estimator_rejects_it(self):
+        flow = build_flow(2, n_coupling=1, hidden=(4,), sigmoid=True)
+        with pytest.raises(ValueError, match="^smooth_base: a LearnableHistogram base has no "
+                                             "smooth read; only a tree base can be smooth"):
+            DensityEstimator(flow, LearnableHistogram.uniform(4, 2), smooth_base=True)
+
+    @pytest.mark.parametrize("prior", ["histogram", "gaussian", "logistic"])
+    def test_checkpoint_names_the_field(self, tmp_path, capsys, prior):
+        doc, path = _prior_doc(tmp_path, prior)
+        doc["smooth_base"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^smooth_base: a (LearnableHistogram|FixedPrior) "
+                                             "base has no smooth read"):
+            load_checkpoint(path)
+        assert main(["eval", "--model", str(path), "--data", "synthetic:eight_gaussians",
+                     "--n", "300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: smooth_base: ") and "Traceback" not in err
+
+
+# "<field>: ...", a field path of dict keys and list indices, as `checkpoint._field` names it
+FIELD_PATH = re.compile(r"^[a-z_]+(\.[^\s.:\[\]]+|\[\d+\])*: ")
+REPLACEMENTS = [None, "?", ["?"], {"?": "?"}, float("nan"), 2**70]
+
+
+def _mutation_sites(node, path=()):
+    """(path, value) of every object field, and of every list entry that is a container.
+
+    A number inside an array is left out: any finite replacement is a
+    well-formed checkpoint of another model.
+    """
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = [(i, v) for i, v in enumerate(node) if isinstance(v, (dict, list))]
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _mutation_sites(value, path + (key,))
+
+
+class TestMutatedCheckpoints:
+    """One mutation of a valid checkpoint either fails naming a field or changes nothing."""
+
+    POINTS = np.random.default_rng(22).normal(size=(40, 2))
+
+    @pytest.mark.parametrize("prior", ["vpt", "histogram", "gaussian", "logistic"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_load_names_a_field_or_evaluates_bitwise(self, tmp_path_factory, prior, data):
+        doc, path = _prior_doc(tmp_path_factory.mktemp("m"), prior)
+        want = load_checkpoint(path).estimator.log_likelihood(self.POINTS)
+        sites = list(_mutation_sites(doc))
+        keys, value = data.draw(st.sampled_from(sites), label="site")
+        edits = [("set", r) for r in REPLACEMENTS]
+        if isinstance(keys[-1], str):
+            edits.append(("delete", None))
+        # dropping the last layer leaves a well-formed shorter flow
+        if isinstance(value, list) and value and keys != ("flow", "layers"):
+            edits.append(("truncate", None))
+        edit, replacement = data.draw(st.sampled_from(edits), label="edit")
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if edit == "delete":
+            del parent[keys[-1]]
+        elif edit == "truncate":
+            parent[keys[-1]] = value[:-1]
+        else:
+            parent[keys[-1]] = replacement
+        path.write_text(json.dumps(doc))
+        try:
+            loaded = load_checkpoint(path)
+        except ValueError as err:
+            assert FIELD_PATH.match(str(err)), f"{keys} {edit}: {err}"
+        else:
+            np.testing.assert_array_equal(loaded.estimator.log_likelihood(self.POINTS), want)
 
 
 class TestEvalSeedDefault:
